@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples bugs smoke clean
+.PHONY: all build test bench examples bugs smoke journals clean
 
 all: build
 
@@ -26,6 +26,23 @@ smoke:
 	dune exec bin/sieve_cli.exe -- bugs k8s-56261
 	dune exec bin/sieve_cli.exe -- trace k8s-56261 --json > _build/smoke-trace.jsonl
 	dune exec test/validate_jsonl.exe _build/smoke-trace.jsonl
+
+# Re-run the three fixed-seed hunts pinned in HUNT_JOURNAL.sha256 and
+# fail unless each journal is byte-identical to its pinned sha256.
+journals:
+	rm -rf _hunt-journals
+	dune exec bin/sieve_cli.exe -- hunt \
+	  --budget 160 --seed 42 --jobs 1 --quiet --out _hunt-journals/kube
+	dune exec bin/sieve_cli.exe -- hunt REP-STALE REP-CHURN REP-MINORITY REP-RECOVER \
+	  --budget 0 --seed 42 --jobs 1 --quiet --out _hunt-journals/rep
+	dune exec bin/sieve_cli.exe -- hunt HB-ASSIGN HB-WATCH HB-FOLLOWER \
+	  --budget 0 --seed 42 --jobs 1 --quiet --out _hunt-journals/hbase
+	sha256sum _hunt-journals/kube/journal.jsonl _hunt-journals/rep/journal.jsonl \
+	  _hunt-journals/hbase/journal.jsonl
+	for pin in kube rep hbase; do \
+	  grep -q "$$(sha256sum _hunt-journals/$$pin/journal.jsonl | cut -d' ' -f1)  $$pin:" \
+	    HUNT_JOURNAL.sha256 || { echo "journal $$pin differs from its pin"; exit 1; }; \
+	done
 
 examples:
 	dune exec examples/quickstart.exe

@@ -287,24 +287,17 @@ let campaign_cmd =
     | Some case ->
         let horizon = case.Sieve.Bugs.horizon in
         let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        (* Per-substrate: fault targets, store replicas and the planner
-           family all come from the case's own substrate spec. *)
-        let components, apiservers, planner_candidates =
-          match case.Sieve.Bugs.spec with
-          | Sieve.Substrate.Kube { config; _ } ->
-              ( List.map
-                  (fun t -> t.Sieve.Planner.component)
-                  (Sieve.Planner.targets_of_config config),
-                List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)),
-                fun () -> Sieve.Planner.candidates ~config ~events ~horizon () )
-          | Sieve.Substrate.Hbase { config; _ } ->
-              ( List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_hbase config),
-                [ "zk-leader"; "zk-follower" ],
-                fun () -> Sieve.Planner.candidates_hbase ~config ~events ~horizon () )
-        in
+        (* Fault targets, store endpoints and the planner family all come
+           from the case's own dialect. *)
+        let dialect = Sieve.Dialect.of_spec case.Sieve.Bugs.spec in
+        let components = Sieve.Dialect.components dialect in
+        let apiservers = dialect.Sieve.Dialect.fault_endpoints in
         let strategies =
           match approach with
-          | `Planner -> List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ())
+          | `Planner ->
+              List.map
+                (fun p -> p.Sieve.Planner.strategy)
+                (dialect.Sieve.Dialect.candidates ~events ~horizon)
           | `Crashtuner -> Sieve.Baselines.crashtuner ~events ~components ()
           | `Cofi -> Sieve.Baselines.cofi ~events ~components ~apiservers ()
           | `Random ->
@@ -461,26 +454,11 @@ let coverage_cmd =
         exit 2
     | Some case ->
         let events = Sieve.Runner.reference_events (Sieve.Bugs.reference_test_of_case case) in
-        let components, apiservers, make_space, planner_candidates =
-          match case.Sieve.Bugs.spec with
-          | Sieve.Substrate.Kube { config; _ } ->
-              ( List.map
-                  (fun t -> t.Sieve.Planner.component)
-                  (Sieve.Planner.targets_of_config config),
-                List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)),
-                (fun () -> Sieve.Coverage.create ~config ~events),
-                fun () ->
-                  Sieve.Planner.candidates ~config ~events ~horizon:case.Sieve.Bugs.horizon () )
-          | Sieve.Substrate.Hbase { config; _ } ->
-              ( List.map (fun t -> t.Sieve.Planner.component) (Sieve.Planner.targets_hbase config),
-                [ "zk-leader"; "zk-follower" ],
-                (fun () -> Sieve.Coverage.create_hbase ~config ~events),
-                fun () ->
-                  Sieve.Planner.candidates_hbase ~config ~events ~horizon:case.Sieve.Bugs.horizon
-                    () )
-        in
+        let dialect = Sieve.Dialect.of_spec case.Sieve.Bugs.spec in
+        let components = Sieve.Dialect.components dialect in
+        let apiservers = dialect.Sieve.Dialect.fault_endpoints in
         let row name strategies =
-          let c = make_space () in
+          let c = dialect.Sieve.Dialect.coverage ~events in
           List.iter (Sieve.Coverage.note c) strategies;
           let cell pattern =
             let _, covered, total =
@@ -496,7 +474,10 @@ let coverage_cmd =
         Sieve.Report.table
           ~header:[ "approach"; "staleness"; "obs-gap"; "time-travel"; "overall" ]
           [
-            row "planner" (List.map (fun p -> p.Sieve.Planner.strategy) (planner_candidates ()));
+            row "planner"
+              (List.map
+                 (fun p -> p.Sieve.Planner.strategy)
+                 (dialect.Sieve.Dialect.candidates ~events ~horizon:case.Sieve.Bugs.horizon));
             row "crashtuner" (Sieve.Baselines.crashtuner ~events ~components ());
             row "cofi" (Sieve.Baselines.cofi ~events ~components ~apiservers ());
             row "random(400)"
@@ -584,8 +565,9 @@ let hunt_cmd =
       & info [ "hazard-rank" ]
           ~doc:
             "Dispatch statically hazard-implicated candidates first: the layer-2 hazard graph \
-             ($(b,sieve hazards)) boosts the planner's queues and outranks coverage gain in \
-             the scheduler. Must match the original run when used with $(b,--resume).")
+             ($(b,sieve hazards)) enters the scheduler as a priority ranked above coverage \
+             gain; the planner's candidate pool and its causal order are unchanged. Must match \
+             the original run when used with $(b,--resume).")
   in
   let check_conformance_arg =
     Arg.(
@@ -743,7 +725,7 @@ let check_cmd =
                   (if Conformance.Selftest.ok o then "ok" else "FAIL");
                 ]
                 :: !rows)
-            (Conformance.Selftest.run ~seed ())
+            (Conformance.Selftest.run ~seed Conformance.Selftest.kube)
         in
         round ~label:"self-test" seed;
         let rng = Dsim.Rng.create seed in

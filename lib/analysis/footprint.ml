@@ -193,6 +193,10 @@ let of_hbase_config (config : Hbaselike.Cluster.config) =
   in
   master :: servers
 
+let of_spec = function
+  | Sieve.Substrate.Kube { config; _ } -> of_config config
+  | Sieve.Substrate.Hbase { config; _ } -> of_hbase_config config
+
 let find footprints component =
   List.find_opt (fun fp -> String.equal fp.component component) footprints
 

@@ -58,6 +58,10 @@ val of_hbase_config : Hbaselike.Cluster.config -> t list
     through one-shot watches — edge-triggered unless [rearm_then_read]
     closes the fire-to-rearm gap. *)
 
+val of_spec : Sieve.Substrate.spec -> t list
+(** The footprints of the spec's dialect and configuration:
+    {!of_config} or {!of_hbase_config}. *)
+
 val find : t list -> string -> t option
 
 val to_json : t -> Dsim.Json.t

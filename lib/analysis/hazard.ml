@@ -152,8 +152,6 @@ let score hazards ~component ~key ~pattern =
       else acc)
     0 hazards
 
-let boost hazards ~component ~key ~pattern = score hazards ~component ~key ~pattern
-
 let plan_score hazards coverage (plan : Sieve.Planner.plan) =
   let cells = Sieve.Coverage.cells_of coverage plan.Sieve.Planner.strategy in
   match cells with

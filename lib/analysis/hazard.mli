@@ -60,9 +60,6 @@ val score : t list -> component:string -> key:string -> pattern:Sieve.Coverage.p
     pattern) cell — 0 when none does. Keys match hazard prefixes by
     [String.starts_with]. *)
 
-val boost : t list -> Sieve.Planner.boost
-(** {!score} in the shape {!Sieve.Planner.candidates_causal} accepts. *)
-
 val plan_score : t list -> Sieve.Coverage.t -> Sieve.Planner.plan -> int
 (** Dispatch priority of one candidate: the highest {!score} over the
     coverage cells the candidate's strategy would exercise. When the

@@ -25,8 +25,7 @@ let committed_describe t rev = t.committed_describe rev
 
 let finish t = t.finish ()
 
-let of_kube hooks =
-  let monitor = Hooks.monitor hooks in
+let of_monitor monitor ~finish =
   {
     violations = (fun () -> Monitor.violations monitor);
     total = (fun () -> Monitor.total monitor);
@@ -34,17 +33,10 @@ let of_kube hooks =
     divergences = (fun () -> Monitor.divergences monitor);
     committed_describe =
       (fun rev -> Option.map History.Event.describe (Monitor.committed_at monitor rev));
-    finish = (fun () -> Hooks.finish hooks);
+    finish;
   }
 
+let of_kube hooks = of_monitor (Hooks.monitor hooks) ~finish:(fun () -> Hooks.finish hooks)
+
 let of_hbase hooks =
-  let monitor = Hbase_hooks.monitor hooks in
-  {
-    violations = (fun () -> Monitor.violations monitor);
-    total = (fun () -> Monitor.total monitor);
-    strict = (fun () -> Monitor.strict monitor);
-    divergences = (fun () -> Monitor.divergences monitor);
-    committed_describe =
-      (fun rev -> Option.map History.Event.describe (Monitor.committed_at monitor rev));
-    finish = (fun () -> Hbase_hooks.finish hooks);
-  }
+  of_monitor (Hbase_hooks.monitor hooks) ~finish:(fun () -> Hbase_hooks.finish hooks)

@@ -12,12 +12,6 @@ type t = {
 
 let monitor t = t.monitor
 
-let violations t = Monitor.violations t.monitor
-
-let total t = Monitor.total t.monitor
-
-let divergences t = Monitor.divergences t.monitor
-
 (* The only monitored event stream is ZooKeeper replication: the
    follower's applied frontier against the leader-committed history.
    Region-server watch streams are deliberately NOT event streams here:

@@ -19,11 +19,5 @@ val attach :
 
 val monitor : t -> string Monitor.t
 
-val violations : t -> Monitor.violation list
-
-val total : t -> int
-
-val divergences : t -> Monitor.divergence list
-
 val finish : t -> unit
 (** Final sweep; call once the run is over. *)

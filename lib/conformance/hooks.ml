@@ -16,10 +16,6 @@ let monitor t = t.monitor
 
 let violations t = Monitor.violations t.monitor
 
-let total t = Monitor.total t.monitor
-
-let divergences t = Monitor.divergences t.monitor
-
 (* A new generation is a new stream: frontiers must not be compared
    across a crash or a gap-triggered re-list. *)
 let stream_key (view : Kube.Tap.view) =
@@ -177,8 +173,8 @@ let attach ?strict ?(track_divergence = false) ?(lag_grace = 250_000) ?(check_pe
   (* The first deliberate drop ends strict mode: from then on the run is
      *supposed* to contain gaps and stale caches. Delays and partitions
      keep it — FIFO pipes and re-list recovery preserve completeness. *)
-  Kube.Intercept.set_observer (Kube.Cluster.intercept cluster) (fun _edge _event decision ->
-      match decision with Kube.Intercept.Drop -> Monitor.relax monitor | _ -> ());
+  History.Intercept.set_observer (Kube.Cluster.intercept cluster) (fun _edge _event decision ->
+      match decision with History.Intercept.Drop -> Monitor.relax monitor | _ -> ());
   Dsim.Engine.every engine ~period:check_period (fun () ->
       check_sweep t;
       true);

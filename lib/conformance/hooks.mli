@@ -56,9 +56,3 @@ val finish : t -> unit
 val monitor : t -> Kube.Resource.value Monitor.t
 
 val violations : t -> Monitor.violation list
-
-val total : t -> int
-
-val divergences : t -> Monitor.divergence list
-(** Divergence points recorded so far ({!Monitor.divergences}); empty
-    unless attached with [~track_divergence:true]. *)

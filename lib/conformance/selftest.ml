@@ -1,21 +1,155 @@
-type outcome = { mutation : string; tripped : bool; codes : Monitor.code list }
+(* A replay is what one perturbation hands the simulated consumer: the
+   deliveries it sees, the revisions its cache skips applying, and the
+   frontier it finally claims — by a state spot-check at a revision, or
+   by advancing its stream frontier without one. *)
+type claim = State of int | Frontier of int
 
-let mutations =
-  [ "drop-event"; "reorder-deliveries"; "stale-cache"; "corrupt-value"; "future-claim" ]
+type replay = {
+  delivered : string History.Event.t list;
+  unapplied : int list;
+  claim : claim;
+}
 
-let ok o = if String.equal o.mutation "control" then not o.tripped else o.tripped
+type mutation = {
+  name : string;
+  expected : Monitor.code option;
+  (* the committed history and a random index that is never the last *)
+  perturb : string History.Event.t array -> k:int -> replay;
+}
+
+type table = { keys : string array; mutations : mutation list }
+
+type outcome = {
+  mutation : string;
+  tripped : bool;
+  codes : Monitor.code list;
+  expected : Monitor.code option;
+}
+
+let mutations table = List.map (fun m -> m.name) table.mutations
+
+let ok o =
+  if String.equal o.mutation "control" then not o.tripped
+  else
+    o.tripped
+    && match o.expected with Some code -> List.mem code o.codes | None -> true
+
+let head_rev committed = committed.(Array.length committed - 1).History.Event.rev
+
+let faithful committed =
+  { delivered = Array.to_list committed; unapplied = []; claim = State (head_rev committed) }
+
+(* Event [k] never arrives; everything after it still flows, so a later
+   delivery always exposes the hole. *)
+let drop committed ~k =
+  {
+    delivered = List.filteri (fun i _ -> i <> k) (Array.to_list committed);
+    unapplied = [ committed.(k).History.Event.rev ];
+    claim = State (head_rev committed);
+  }
+
+(* The delivered payload of event [k] differs from the committed one. *)
+let corrupt value committed ~k =
+  {
+    (faithful committed) with
+    delivered =
+      List.mapi
+        (fun i (e : string History.Event.t) ->
+          if i = k then { e with History.Event.value = Some value } else e)
+        (Array.to_list committed);
+  }
+
+let control =
+  { name = "control"; expected = None; perturb = (fun committed ~k:_ -> faithful committed) }
+
+let kube =
+  {
+    keys = Array.init 6 (fun i -> Printf.sprintf "pods/p%d" i);
+    mutations =
+      [
+        { name = "drop-event"; expected = None; perturb = drop };
+        {
+          name = "reorder-deliveries";
+          expected = None;
+          perturb =
+            (fun committed ~k ->
+              {
+                (faithful committed) with
+                delivered =
+                  List.concat
+                    (List.mapi
+                       (fun i e ->
+                         if i = k then [ committed.(k + 1); e ]
+                         else if i = k + 1 then []
+                         else [ e ])
+                       (Array.to_list committed));
+              });
+        };
+        {
+          name = "stale-cache";
+          expected = None;
+          (* Every event delivered, but the cache missed applying the final
+             one while still claiming the full revision — skipping the last
+             event (rather than a random one) guarantees the divergence is
+             never papered over by a later write to the same key. *)
+          perturb =
+            (fun committed ~k:_ ->
+              { (faithful committed) with unapplied = [ head_rev committed ] });
+        };
+        { name = "corrupt-value"; expected = None; perturb = corrupt "corrupted-by-selftest" };
+        {
+          name = "future-claim";
+          expected = None;
+          perturb =
+            (fun committed ~k:_ ->
+              { (faithful committed) with claim = Frontier (head_rev committed + 5) });
+        };
+      ];
+  }
+
+let hbase =
+  {
+    keys = [| "region/r0"; "region/r1"; "region/r2"; "region/r3"; "rs/registry" |];
+    mutations =
+      [
+        (* The znode's one-shot watch was consumed at event [k]'s commit
+           and the notification never arrived: everything after still
+           flows (the re-arm succeeded), but [k] is lost between fire and
+           re-arm. *)
+        { name = "drop-zk-notify"; expected = Some Monitor.Gap; perturb = drop };
+        {
+          name = "stale-region-map";
+          expected = Some Monitor.State_divergence;
+          (* A catch-up pull stopped one event short, but the master's
+             region map claims the leader's head revision anyway. The
+             final commit is a real commit, so the truncated map can never
+             coincide with the committed head state. *)
+          perturb =
+            (fun committed ~k:_ ->
+              let n = Array.length committed in
+              {
+                (faithful committed) with
+                delivered = List.filteri (fun i _ -> i < n - 1) (Array.to_list committed);
+              });
+        };
+        {
+          name = "forge-znode";
+          expected = Some Monitor.Content;
+          perturb = corrupt "forged-by-selftest";
+        };
+      ];
+  }
 
 let distinct_codes violations =
   List.fold_left
-    (fun acc (v : Monitor.violation) -> if List.mem v.Monitor.code acc then acc else acc @ [ v.Monitor.code ])
+    (fun acc (v : Monitor.violation) ->
+      if List.mem v.Monitor.code acc then acc else acc @ [ v.Monitor.code ])
     [] violations
 
 (* A committed history with enough texture to perturb: puts and deletes
    over a small key pool, through the real store so ops/mod-revs are the
    production ones. *)
-let pod_keys = Array.init 6 (fun i -> Printf.sprintf "pods/p%d" i)
-
-let generate_history rng ?(keys = pod_keys) ~events () =
+let generate_history rng ~keys ~events =
   let kv : string Etcdlike.Kv.t = Etcdlike.Kv.create () in
   let counter = ref 0 in
   while Etcdlike.Kv.rev kv < events do
@@ -28,139 +162,38 @@ let generate_history rng ?(keys = pod_keys) ~events () =
   done;
   match Etcdlike.Kv.since kv ~rev:0 with Ok events -> events | Error _ -> assert false
 
-(* Replays [delivered] to a consumer stream, building its cache the way
-   an informer does, then spot-checks the final cache at [claim]. *)
-let replay monitor ~committed ~delivered ~claim ~skip_in_state =
+(* Replays the deliveries to a consumer stream, building its cache the
+   way an informer does, then makes the replay's claim. *)
+let replay monitor ~committed { delivered; unapplied; claim } =
   List.iter (Monitor.note_commit monitor) committed;
   let state =
     List.fold_left
       (fun state (e : string History.Event.t) ->
         Monitor.observe_event monitor ~stream:"selftest" e;
-        if List.mem e.History.Event.rev skip_in_state then state else History.State.apply state e)
+        if List.mem e.History.Event.rev unapplied then state else History.State.apply state e)
       History.State.empty delivered
   in
-  Monitor.check_state monitor ~subject:"selftest" ~rev:claim state
+  match claim with
+  | State rev -> Monitor.check_state monitor ~subject:"selftest" ~rev state
+  | Frontier rev -> Monitor.observe_advance monitor ~stream:"selftest" ~rev ()
 
-let run ?(seed = 20260704L) ?(events = 40) () =
+let run ?(seed = 20260704L) ?(events = 40) table =
   let rng = Dsim.Rng.create seed in
-  let committed = generate_history rng ~events () in
-  let n = List.length committed in
+  let committed = generate_history rng ~keys:table.keys ~events in
+  let arr = Array.of_list committed in
+  let n = Array.length arr in
   assert (n >= 10);
-  let last_rev = (List.nth committed (n - 1)).History.Event.rev in
   (* Never the last event, so a later delivery always exposes the hole. *)
   let k = Dsim.Rng.int rng (n - 1) in
-  let arr = Array.of_list committed in
-  let one mutation =
-    let monitor = Monitor.create () in
-    (match mutation with
-    | "control" ->
-        replay monitor ~committed ~delivered:committed ~claim:last_rev ~skip_in_state:[]
-    | "drop-event" ->
-        let delivered = List.filteri (fun i _ -> i <> k) committed in
-        replay monitor ~committed ~delivered ~claim:last_rev
-          ~skip_in_state:[ arr.(k).History.Event.rev ]
-    | "reorder-deliveries" ->
-        let delivered =
-          List.concat
-            (List.mapi
-               (fun i e -> if i = k then [ arr.(k + 1); e ] else if i = k + 1 then [] else [ e ])
-               committed)
-        in
-        replay monitor ~committed ~delivered ~claim:last_rev ~skip_in_state:[]
-    | "stale-cache" ->
-        (* Every event delivered, but the cache missed applying the final
-           one while still claiming the full revision — skipping the last
-           event (rather than a random one) guarantees the divergence is
-           never papered over by a later write to the same key. *)
-        replay monitor ~committed ~delivered:committed ~claim:last_rev
-          ~skip_in_state:[ last_rev ]
-    | "corrupt-value" ->
-        let delivered =
-          List.mapi
-            (fun i (e : string History.Event.t) ->
-              if i = k then { e with History.Event.value = Some "corrupted-by-selftest" } else e)
-            committed
-        in
-        replay monitor ~committed ~delivered ~claim:last_rev ~skip_in_state:[]
-    | "future-claim" ->
-        List.iter (Monitor.note_commit monitor) committed;
-        List.iter (Monitor.observe_event monitor ~stream:"selftest") committed;
-        Monitor.observe_advance monitor ~stream:"selftest" ~rev:(last_rev + 5) ()
-    | _ -> invalid_arg ("Selftest.run: unknown mutation " ^ mutation));
-    let violations = Monitor.violations monitor in
-    { mutation; tripped = violations <> []; codes = distinct_codes violations }
-  in
-  List.map one ("control" :: mutations)
-
-(* --- HBase-boundary mutations -------------------------------------- *)
-
-let hbase_mutations = [ "drop-zk-notify"; "stale-region-map"; "forge-znode" ]
-
-(* Unlike the kube set — which only requires each mutation to trip — the
-   HBase set pins the *code* each boundary defect must surface as: a
-   lost one-shot notification is a [Gap], a truncated master view
-   claiming the head revision is a [State_divergence], and a forged
-   znode payload is a [Content] violation. A monitor that fires the
-   wrong alarm would pass the weaker check and still misdirect every
-   diagnosis built on it. *)
-let hbase_expected_code = function
-  | "drop-zk-notify" -> Some Monitor.Gap
-  | "stale-region-map" -> Some Monitor.State_divergence
-  | "forge-znode" -> Some Monitor.Content
-  | _ -> None
-
-let hbase_ok o =
-  if String.equal o.mutation "control" then not o.tripped
-  else
-    o.tripped
-    &&
-    match hbase_expected_code o.mutation with
-    | Some code -> List.mem code o.codes
-    | None -> true
-
-let znode_keys =
-  [| "region/r0"; "region/r1"; "region/r2"; "region/r3"; "rs/registry" |]
-
-let run_hbase ?(seed = 20260704L) ?(events = 40) () =
-  let rng = Dsim.Rng.create seed in
-  let committed = generate_history rng ~keys:znode_keys ~events () in
-  let n = List.length committed in
-  assert (n >= 10);
-  let last_rev = (List.nth committed (n - 1)).History.Event.rev in
-  (* Never the last event, so a later delivery always exposes the hole. *)
-  let k = Dsim.Rng.int rng (n - 1) in
-  let arr = Array.of_list committed in
-  let one mutation =
-    let monitor = Monitor.create () in
-    (match mutation with
-    | "control" ->
-        replay monitor ~committed ~delivered:committed ~claim:last_rev ~skip_in_state:[]
-    | "drop-zk-notify" ->
-        (* The znode's one-shot watch was consumed at event [k]'s commit
-           and the notification never arrived: everything after still
-           flows (the re-arm succeeded), but [k] is lost between fire
-           and re-arm. *)
-        let delivered = List.filteri (fun i _ -> i <> k) committed in
-        replay monitor ~committed ~delivered ~claim:last_rev
-          ~skip_in_state:[ arr.(k).History.Event.rev ]
-    | "stale-region-map" ->
-        (* A catch-up pull stopped one event short, but the master's
-           region map claims the leader's head revision anyway. The
-           final commit is a real commit, so the truncated map can never
-           coincide with the committed head state. *)
-        let delivered = List.filteri (fun i _ -> i < n - 1) committed in
-        replay monitor ~committed ~delivered ~claim:last_rev ~skip_in_state:[]
-    | "forge-znode" ->
-        (* The delivered znode payload differs from the committed one. *)
-        let delivered =
-          List.mapi
-            (fun i (e : string History.Event.t) ->
-              if i = k then { e with History.Event.value = Some "forged-by-selftest" } else e)
-            committed
-        in
-        replay monitor ~committed ~delivered ~claim:last_rev ~skip_in_state:[]
-    | _ -> invalid_arg ("Selftest.run_hbase: unknown mutation " ^ mutation));
-    let violations = Monitor.violations monitor in
-    { mutation; tripped = violations <> []; codes = distinct_codes violations }
-  in
-  List.map one ("control" :: hbase_mutations)
+  List.map
+    (fun m ->
+      let monitor = Monitor.create () in
+      replay monitor ~committed (m.perturb arr ~k);
+      let violations = Monitor.violations monitor in
+      {
+        mutation = m.name;
+        tripped = violations <> [];
+        codes = distinct_codes violations;
+        expected = m.expected;
+      })
+    (control :: table.mutations)

@@ -9,52 +9,49 @@
     each perturbation must trip the monitor (while the unperturbed
     control replay must not).
 
+    One generator and one replay serve every dialect: a per-dialect
+    {!table} names the perturbations and, where a defect must surface as
+    one specific alarm, the violation code it has to trip.
+
     Deterministic for a given seed; a soak runs many derived seeds. The
     perturbations are constructed to be detectable for {e every} seed
     (e.g. the dropped event is never the last one, so a later delivery
     always exposes the gap). *)
 
+type table
+(** A dialect's mutations over its own key shapes. *)
+
+val kube : table
+(** Informer-boundary mutations over [pods/*] keys — ["drop-event"],
+    ["reorder-deliveries"], ["stale-cache"], ["corrupt-value"],
+    ["future-claim"] — each of which must trip the monitor. *)
+
+val hbase : table
+(** ZooKeeper-boundary mutations over znode keys ([region/*],
+    [rs/registry]), each pinned to the code it must trip: a one-shot
+    watch notification lost between fire and re-arm
+    (["drop-zk-notify"] → [Gap]), a master region map assembled from a
+    truncated catch-up pull while claiming the leader's head revision
+    (["stale-region-map"] → [State_divergence]) and a forged znode
+    payload (["forge-znode"] → [Content]). A monitor that fires the
+    wrong alarm would misdirect every diagnosis card built on it. *)
+
+val mutations : table -> string list
+(** The table's perturbations, excluding the control. *)
+
 type outcome = {
-  mutation : string;  (** ["control"] or one of {!mutations} *)
+  mutation : string;  (** ["control"] or one of the table's {!mutations} *)
   tripped : bool;  (** the monitor reported at least one violation *)
   codes : Monitor.code list;  (** distinct violation codes, detection order *)
+  expected : Monitor.code option;  (** the code the mutation must trip, if pinned *)
 }
 
-val mutations : string list
-(** The perturbations, excluding the control. *)
-
 val ok : outcome -> bool
-(** Control must stay silent; every mutation must trip. *)
+(** Control must stay silent; every mutation must trip, with its
+    [expected] code among the distinct codes when one is pinned. *)
 
-val run : ?seed:int64 -> ?events:int -> unit -> outcome list
+val run : ?seed:int64 -> ?events:int -> table -> outcome list
 (** Generates a history of roughly [events] commits (default 40; puts and
-    deletes over a small key pool) through a real {!Etcdlike.Kv}, then
-    replays it against a fresh monitor once per perturbation. The control
-    outcome is first. *)
-
-(** {2 HBase-boundary mutations}
-
-    The same teeth, ground against the ZooKeeper delivery boundary: a
-    one-shot watch notification lost between fire and re-arm, a master
-    region map assembled from a truncated catch-up pull while claiming
-    the leader's head revision, and a forged znode payload. These pin
-    the exact violation {e code} each defect must surface as — a monitor
-    that fires the wrong alarm would misdirect every diagnosis card
-    built on it. *)
-
-val hbase_mutations : string list
-(** The HBase-boundary perturbations, excluding the control. *)
-
-val hbase_expected_code : string -> Monitor.code option
-(** The code each HBase mutation must trip:
-    ["drop-zk-notify"] → [Gap], ["stale-region-map"] →
-    [State_divergence], ["forge-znode"] → [Content]. *)
-
-val hbase_ok : outcome -> bool
-(** Control must stay silent; every mutation must trip {e with} its
-    expected code among the distinct codes reported. *)
-
-val run_hbase : ?seed:int64 -> ?events:int -> unit -> outcome list
-(** Like {!run}, over znode-flavored keys ([region/*], [rs/registry])
-    with the HBase-boundary perturbations. The control outcome is
-    first. *)
+    deletes over the table's key pool) through a real {!Etcdlike.Kv},
+    then replays it against a fresh monitor once per perturbation. The
+    control outcome is first. *)

@@ -28,21 +28,16 @@ let enumerate targets keys =
         keys)
     targets
 
-let create ~config ~events =
+let of_targets targets ~events =
   let keys = List.sort_uniq String.compare (List.map (fun (_, key, _) -> key) events) in
-  let targets = Planner.targets_of_config config in
   let all_cells = enumerate targets keys in
   let valid = Hashtbl.create (max 16 (List.length all_cells)) in
   List.iter (fun cell -> Hashtbl.replace valid cell ()) all_cells;
   { targets; keys; all_cells; valid; marked = Hashtbl.create 128 }
 
-let create_hbase ~config ~events =
-  let keys = List.sort_uniq String.compare (List.map (fun (_, key, _) -> key) events) in
-  let targets = Planner.targets_hbase config in
-  let all_cells = enumerate targets keys in
-  let valid = Hashtbl.create (max 16 (List.length all_cells)) in
-  List.iter (fun cell -> Hashtbl.replace valid cell ()) all_cells;
-  { targets; keys; all_cells; valid; marked = Hashtbl.create 128 }
+let create ~config ~events = of_targets (Planner.targets_of_config config) ~events
+
+let create_hbase ~config ~events = of_targets (Planner.targets_hbase config) ~events
 
 let matching_keys t prefix =
   match prefix with

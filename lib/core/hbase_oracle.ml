@@ -12,44 +12,14 @@ type t = {
   stale_streak : (string, int * int) Hashtbl.t;
       (* region -> (consecutive bad sightings, master cas_failures at streak start) *)
   double_streak : (string, int) Hashtbl.t;
-  seen : (string, unit) Hashtbl.t;  (* dedup keys, {!Oracle.key} *)
-  commit_ids : (string, int) Hashtbl.t;  (* store key -> last commit trace id *)
-  mutable last_commit_id : int option;
-  mutable violations : (int * Oracle.violation) list;  (* newest first *)
+  ledger : Oracle.Ledger.t;
 }
 
-let violations t = List.rev t.violations
+let violations t = Oracle.Ledger.violations t.ledger
 
-let first t = match violations t with [] -> None | v :: _ -> Some v
+let cause_for t key = Oracle.Ledger.cause_for t.ledger key
 
-let violated t = t.violations <> []
-
-let engine t = Hbaselike.Cluster.engine t.cluster
-
-let cause_for t key =
-  match Hashtbl.find_opt t.commit_ids key with
-  | Some _ as c -> c
-  | None -> t.last_commit_id
-
-let report ?cause t v =
-  let k = Oracle.key v in
-  if not (Hashtbl.mem t.seen k) then begin
-    Hashtbl.replace t.seen k ();
-    let engine = engine t in
-    let now = Dsim.Engine.now engine in
-    t.violations <- (now, v) :: t.violations;
-    let cause =
-      match cause with
-      | Some _ as c -> c
-      | None -> (
-          match Dsim.Engine.current_cause engine with
-          | Some _ as c -> c
-          | None -> t.last_commit_id)
-    in
-    Dsim.Metrics.incr (Dsim.Engine.metrics engine) "oracle.violations";
-    Dsim.Engine.record engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
-      (Printf.sprintf "[%s] %s" (Oracle.bug_id v) (Oracle.describe v))
-  end
+let report ?cause t v = Oracle.Ledger.report ?cause t.ledger v
 
 let leader_kv t = Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk t.cluster)
 
@@ -129,10 +99,7 @@ let attach ?(check_period = 100_000) ?(stale_confirmations = 8) ?(double_confirm
       double_confirmations;
       stale_streak = Hashtbl.create 8;
       double_streak = Hashtbl.create 8;
-      seen = Hashtbl.create 8;
-      commit_ids = Hashtbl.create 64;
-      last_commit_id = None;
-      violations = [];
+      ledger = Oracle.Ledger.create (Hbaselike.Cluster.engine cluster);
     }
   in
   (* The Zk commit listener registered at create time emits the
@@ -140,12 +107,7 @@ let attach ?(check_period = 100_000) ?(stale_confirmations = 8) ?(double_confirm
      the causal anchor for violations about the committed key. *)
   Etcdlike.Kv.on_commit
     (Hbaselike.Zk.leader_kv (Hbaselike.Cluster.zk cluster))
-    (fun (e : string History.Event.t) ->
-      match Dsim.Engine.current_cause (Hbaselike.Cluster.engine cluster) with
-      | Some id ->
-          Hashtbl.replace t.commit_ids e.History.Event.key id;
-          t.last_commit_id <- Some id
-      | None -> ());
+    (fun (e : string History.Event.t) -> Oracle.Ledger.note_commit t.ledger e.History.Event.key);
   Dsim.Engine.every (Hbaselike.Cluster.engine cluster) ~period:check_period (fun () ->
       check_stale_assignments t;
       check_double_serve t;

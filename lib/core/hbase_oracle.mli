@@ -28,7 +28,3 @@ val attach :
 
 val violations : t -> (int * Oracle.violation) list
 (** Time-stamped, first occurrence per {!Oracle.key}, oldest first. *)
-
-val first : t -> (int * Oracle.violation) option
-
-val violated : t -> bool

@@ -70,6 +70,71 @@ let key v =
   | Region_double_serve { region; _ } -> "hbdup:" ^ region
   | Region_cas_wedged { region; _ } -> "hbwedge:" ^ region
 
+(* The bookkeeping every dialect's oracle shares: first-occurrence
+   dedup, the time-stamped violation list, and the causal anchors a
+   report resolves against. *)
+module Ledger = struct
+  type nonrec t = {
+    engine : Dsim.Engine.t;
+    seen : (string, unit) Hashtbl.t;  (* dedup keys, {!key} *)
+    commit_ids : (string, int) Hashtbl.t;  (* store key -> last commit trace id *)
+    mutable last_commit_id : int option;
+    mutable violations : (int * violation) list;  (* newest first *)
+  }
+
+  let create engine =
+    {
+      engine;
+      seen = Hashtbl.create 16;
+      commit_ids = Hashtbl.create 64;
+      last_commit_id = None;
+      violations = [];
+    }
+
+  (* Store commit listeners run first and emit the commit's trace entry,
+     so the causal frontier inside a later listener is that entry's id. *)
+  let note_commit t key =
+    match Dsim.Engine.current_cause t.engine with
+    | Some id ->
+        Hashtbl.replace t.commit_ids key id;
+        t.last_commit_id <- Some id
+    | None -> ()
+
+  (* The trace id of the last store commit that touched [key] — the best
+     causal anchor for a violation about that object — falling back to
+     the most recent commit of any kind. *)
+  let cause_for t key =
+    match Hashtbl.find_opt t.commit_ids key with
+    | Some _ as c -> c
+    | None -> t.last_commit_id
+
+  let report ?cause t v =
+    let k = key v in
+    if not (Hashtbl.mem t.seen k) then begin
+      Hashtbl.replace t.seen k ();
+      let now = Dsim.Engine.now t.engine in
+      t.violations <- (now, v) :: t.violations;
+      (* Resolve the causal anchor: an explicit per-check cause wins, then
+         the live frontier (commit-driven checks run inside the commit),
+         then the most recent commit. *)
+      let cause =
+        match cause with
+        | Some _ as c -> c
+        | None -> (
+            match Dsim.Engine.current_cause t.engine with
+            | Some _ as c -> c
+            | None -> t.last_commit_id)
+      in
+      Dsim.Metrics.incr (Dsim.Engine.metrics t.engine) "oracle.violations";
+      Dsim.Engine.record t.engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
+        (Printf.sprintf "[%s] %s" (bug_id v) (describe v))
+    end
+
+  let violations t = List.rev t.violations
+
+  let violated t = t.violations <> []
+end
+
 type t = {
   cluster : Kube.Cluster.t;
   livelock_threshold : int;
@@ -80,50 +145,18 @@ type t = {
   duplicate_streak : (string, int) Hashtbl.t;  (* pod -> consecutive dup sightings *)
   wedge_streak : (string, (int * (string * int) list) * int) Hashtbl.t;
       (* deployment -> (intent fingerprint, consecutive unchanged sightings) *)
-  seen : (string, unit) Hashtbl.t;  (* dedup keys *)
-  mutable violations : (int * violation) list;  (* newest first *)
-  commit_ids : (string, int) Hashtbl.t;  (* resource key -> last commit trace id *)
-  mutable last_commit_id : int option;
+  ledger : Ledger.t;
 }
 
 let mirror t = t.mirror
 
-let violations t = List.rev t.violations
+let violations t = Ledger.violations t.ledger
 
-let first t = match violations t with [] -> None | v :: _ -> Some v
+let violated t = Ledger.violated t.ledger
 
-let violated t = t.violations <> []
+let cause_for t key = Ledger.cause_for t.ledger key
 
-(* The trace id of the last store commit that touched [key] — the best
-   causal anchor for a violation about that resource — falling back to
-   the most recent commit of any kind. *)
-let cause_for t key =
-  match Hashtbl.find_opt t.commit_ids key with
-  | Some _ as c -> c
-  | None -> t.last_commit_id
-
-let report ?cause t v =
-  let k = key v in
-  if not (Hashtbl.mem t.seen k) then begin
-    Hashtbl.replace t.seen k ();
-    let engine = Kube.Cluster.engine t.cluster in
-    let now = Dsim.Engine.now engine in
-    t.violations <- (now, v) :: t.violations;
-    (* Resolve the causal anchor: an explicit per-check cause wins, then
-       the live frontier (commit-driven checks run inside the commit),
-       then the most recent commit. *)
-    let cause =
-      match cause with
-      | Some _ as c -> c
-      | None -> (
-          match Dsim.Engine.current_cause engine with
-          | Some _ as c -> c
-          | None -> t.last_commit_id)
-    in
-    Dsim.Metrics.incr (Dsim.Engine.metrics engine) "oracle.violations";
-    Dsim.Engine.record engine ~actor:"oracle" ~kind:"oracle.violation" ?cause
-      (Printf.sprintf "[%s] %s" (bug_id v) (describe v))
-  end
+let report ?cause t v = Ledger.report ?cause t.ledger v
 
 (* A decommission is the operator setting deletion_timestamp on a member
    pod; it is wrong if any *other* live member of the same datacenter has
@@ -182,14 +215,7 @@ let check_failed_transition t (e : Kube.Resource.value History.Event.t) =
 
 let on_commit t (e : Kube.Resource.value History.Event.t) =
   let now = Dsim.Engine.now (Kube.Cluster.engine t.cluster) in
-  (* The etcd commit listener runs first and emits the ["etcd.commit"]
-     trace entry, so the causal frontier here is that entry's id; index
-     it by resource key for the periodic checks. *)
-  (match Dsim.Engine.current_cause (Kube.Cluster.engine t.cluster) with
-  | Some id ->
-      Hashtbl.replace t.commit_ids e.History.Event.key id;
-      t.last_commit_id <- Some id
-  | None -> ());
+  Ledger.note_commit t.ledger e.History.Event.key;
   (match Kube.Resource.kind_of_key e.History.Event.key, e.History.Event.op with
   | `Pod, History.Event.Update ->
       Hashtbl.remove t.pod_deleted_at (Kube.Resource.name_of_key e.History.Event.key);
@@ -386,10 +412,7 @@ let attach ?(check_period = 100_000) ?(livelock_threshold = 15) ?(leak_grace = 2
       pod_deleted_at = Hashtbl.create 16;
       duplicate_streak = Hashtbl.create 16;
       wedge_streak = Hashtbl.create 16;
-      seen = Hashtbl.create 16;
-      violations = [];
-      commit_ids = Hashtbl.create 64;
-      last_commit_id = None;
+      ledger = Ledger.create (Kube.Cluster.engine cluster);
     }
   in
   Kube.Etcd.on_commit (Kube.Cluster.etcd cluster) (fun e -> on_commit t e);

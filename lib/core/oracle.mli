@@ -54,6 +54,33 @@ val bug_id : violation -> string
 val key : violation -> string
 (** Deduplication key (violation type + principal object). *)
 
+(** The bookkeeping every dialect's oracle shares: first occurrence per
+    {!key}, time-stamped, with each report's causal anchor resolved
+    against the store commits noted so far. *)
+module Ledger : sig
+  type t
+
+  val create : Dsim.Engine.t -> t
+
+  val note_commit : t -> string -> unit
+  (** Call from a store commit listener registered after the store's
+      own: records the commit's trace entry (the engine's current cause)
+      as the latest commit of the key. *)
+
+  val cause_for : t -> string -> int option
+  (** The trace id of the last commit of the key, else of any key. *)
+
+  val report : ?cause:int -> t -> violation -> unit
+  (** Records the violation unless its {!key} was reported before, with
+      an ["oracle.violation"] trace entry anchored at [cause] (default:
+      the engine's current cause, else the latest commit). *)
+
+  val violations : t -> (int * violation) list
+  (** Oldest first. *)
+
+  val violated : t -> bool
+end
+
 type t
 
 val attach :
@@ -78,8 +105,6 @@ val attach :
 
 val violations : t -> (int * violation) list
 (** Time-stamped, first occurrence per {!key}, oldest first. *)
-
-val first : t -> (int * violation) option
 
 val violated : t -> bool
 

@@ -110,8 +110,7 @@ let consumed_by target key = List.exists (has_prefix key) target.watched_prefixe
 
 type plan = { strategy : Strategy.t; rationale : string }
 
-type boost =
-  component:string -> key:string -> pattern:[ `Staleness | `Obs_gap | `Time_travel ] -> int
+type commit = { time : int; key : string; op : History.Event.op; origin : string }
 
 let api_names (config : Kube.Cluster.config) =
   List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1))
@@ -124,25 +123,88 @@ let replica_names (config : Kube.Cluster.config) =
   | None -> []
   | Some r -> List.init r.Kube.Etcd.replicas (fun i -> Printf.sprintf "etcd-%d" (i + 1))
 
+
 (* One anchor per (key, op): perturbing the same logical change twice adds
-   nothing, and keeping the first occurrence perturbs it earliest. *)
-let dedup_anchors events =
+   nothing, and keeping the first occurrence perturbs it earliest (and
+   carries that occurrence's origin). *)
+let dedup_anchors anchors =
   let seen = Hashtbl.create 64 in
   List.filter
-    (fun (_, key, op) ->
+    (fun (_, key, op, _) ->
       if Hashtbl.mem seen (key, op) then false
       else begin
         Hashtbl.replace seen (key, op) ();
         true
       end)
-    events
+    anchors
 
-(* Shared enumeration. [score] orders candidates within each pattern
-   queue: lower scores first (stable within a score). [boost] lifts
-   statically hazard-implicated (component, key, pattern) candidates to
-   the front of their queue: candidates sort by (-boost, score). *)
-let enumerate ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost ~score =
-  let targets = targets_of_config config in
+let plain_anchors events =
+  dedup_anchors (List.map (fun (time, key, op) -> (time, key, op, "unknown")) events)
+
+let causal_anchors commits =
+  dedup_anchors (List.map (fun c -> (c.time, c.key, c.op, c.origin)) commits)
+
+let flat_score ~target:_ ~origin:_ = 0
+
+(* A component's own writes are causally downstream of its view;
+   perturbing how it observes its own effects closes a reconcile
+   feedback loop. Those candidates go first, then perturbations of
+   other controllers' writes, then environment/user writes. *)
+let causal_score ~target ~origin =
+  if String.equal origin target.component then 0
+  else if String.equal origin "boot" then 2
+  else 1
+
+(* Interleave the three pattern queues so an i-th-candidate budget sees
+   a balanced mixture. *)
+let rec interleave queues =
+  let heads, rest =
+    List.fold_right
+      (fun queue (heads, rest) ->
+        match queue with
+        | [] -> (heads, rest)
+        | plan :: tail -> (plan :: heads, tail :: rest))
+      queues ([], [])
+  in
+  if heads = [] then [] else heads @ interleave rest
+
+(* Shared enumeration. For every anchor and every target consuming its
+   key, the dialect's [edges] emits that pattern's perturbations of the
+   delivery edges the target's view is built from. [score] orders
+   candidates within each pattern queue: lower scores first (stable
+   within a score). *)
+let enumerate ~targets ~anchors ~slack ~score ~edges =
+  let obs_gaps = ref [] and stales = ref [] and travels = ref [] in
+  List.iter
+    (fun (time, key, op, origin) ->
+      let from = max 0 (time - slack) in
+      List.iter
+        (fun target ->
+          if consumed_by target key then begin
+            let s = score ~target ~origin in
+            let emit pattern plan =
+              let queue =
+                match pattern with
+                | `Obs_gap -> obs_gaps
+                | `Staleness -> stales
+                | `Time_travel -> travels
+              in
+              queue := (s, plan) :: !queue
+            in
+            edges ~emit ~target ~time ~key ~op ~from
+          end)
+        targets)
+    anchors;
+  let order queue =
+    List.rev !queue
+    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
+    |> List.map snd
+  in
+  interleave [ order obs_gaps; order stales; order travels ]
+
+(* Kube edges: watch streams out of the apiservers, plus — under a
+   replicated store — the replication links behind them. *)
+let kube_edges (config : Kube.Cluster.config) ~horizon ~slack ~stale_window ~downtime =
   let apis = api_names config in
   let replicas = replica_names config in
   let followers = match replicas with [] | [ _ ] -> [] | _ :: f -> f in
@@ -155,284 +217,159 @@ let enumerate ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost ~s
         else Some (Strategy.Partition_window { a = replica; b = peer; from; until = horizon }))
       replicas
   in
-  let obs_gaps = ref [] and stales = ref [] and travels = ref [] in
-  let emit acc s plan = acc := (s, plan) :: !acc in
-  List.iter
-    (fun (time, key, op, origin) ->
-      let from = max 0 (time - slack) in
+  fun ~emit ~target ~time ~key ~op ~from ->
+    (* Replicated store only: replica-flavored candidates go in ahead of
+       their apiserver-flavored peers of equal rank, so a finding the
+       store's replication caused is attributed to the replication event,
+       not a bystander apiserver. *)
+    List.iter
+      (fun replica ->
+        emit `Staleness
+          {
+            strategy = Strategy.Combo (isolate replica ~from);
+            rationale =
+              Printf.sprintf "isolate replica %s across %s %s; reads pinned to it freeze" replica
+                (History.Event.op_to_string op) key;
+          };
+        if target.restartable then
+          emit `Time_travel
+            {
+              strategy =
+                Strategy.Combo
+                  (isolate replica ~from
+                  @ [
+                      Strategy.Crash_restart
+                        { victim = target.component; at = time + (7 * slack); downtime };
+                    ]);
+              rationale =
+                Printf.sprintf "freeze replica %s before %s %s, then bounce %s onto a stale read"
+                  replica (History.Event.op_to_string op) key target.component;
+            })
+      followers;
+    (match replicas with
+    | leader :: _ :: _ when target.restartable ->
+        (* Leader churn mid-watch: take the leader down across the anchor
+           and bounce the consumer into the election window. *)
+        emit `Time_travel
+          {
+            strategy =
+              Strategy.Combo
+                [
+                  Strategy.Crash_restart { victim = leader; at = from; downtime = 8 * downtime };
+                  Strategy.Crash_restart
+                    { victim = target.component; at = time + (7 * slack); downtime };
+                ];
+            rationale =
+              Printf.sprintf "churn leader %s across %s %s while %s re-syncs" leader
+                (History.Event.op_to_string op) key target.component;
+          }
+    | _ -> ());
+    emit `Obs_gap
+      {
+        strategy =
+          Strategy.observability_gap ~dst:target.component ~key_prefix:key ~op ~from ~until:horizon
+            ();
+        rationale =
+          Printf.sprintf "hide %s %s from %s" (History.Event.op_to_string op) key target.component;
+      };
+    emit `Staleness
+      {
+        strategy =
+          Strategy.staleness ~dst:target.component ~from ~until:(time + stale_window)
+            ~extra:stale_window ();
+        rationale =
+          Printf.sprintf "lag %s's view across %s %s" target.component
+            (History.Event.op_to_string op) key;
+      };
+    if target.restartable then
       List.iter
-        (fun target ->
-          if consumed_by target key then begin
-            let rank pattern =
-              let b = boost ~component:target.component ~key ~pattern in
-              (-b, score ~target ~origin)
-            in
-            (* Replicated store only: replica-flavored candidates go in
-               ahead of their apiserver-flavored peers of equal rank, so
-               a finding the store's replication caused is attributed to
-               the replication event, not a bystander apiserver. *)
-            List.iter
-              (fun replica ->
-                emit stales (rank `Staleness)
-                  {
-                    strategy = Strategy.Combo (isolate replica ~from);
-                    rationale =
-                      Printf.sprintf "isolate replica %s across %s %s; reads pinned to it freeze"
-                        replica (History.Event.op_to_string op) key;
-                  };
-                if target.restartable then
-                  emit travels (rank `Time_travel)
-                    {
-                      strategy =
-                        Strategy.Combo
-                          (isolate replica ~from
-                          @ [
-                              Strategy.Crash_restart
-                                {
-                                  victim = target.component;
-                                  at = time + (7 * slack);
-                                  downtime;
-                                };
-                            ]);
-                      rationale =
-                        Printf.sprintf
-                          "freeze replica %s before %s %s, then bounce %s onto a stale read"
-                          replica (History.Event.op_to_string op) key target.component;
-                    })
-              followers;
-            (match replicas with
-            | leader :: _ :: _ when target.restartable ->
-                (* Leader churn mid-watch: take the leader down across the
-                   anchor and bounce the consumer into the election window. *)
-                emit travels (rank `Time_travel)
-                  {
-                    strategy =
-                      Strategy.Combo
-                        [
-                          Strategy.Crash_restart
-                            { victim = leader; at = from; downtime = 8 * downtime };
-                          Strategy.Crash_restart
-                            { victim = target.component; at = time + (7 * slack); downtime };
-                        ];
-                    rationale =
-                      Printf.sprintf "churn leader %s across %s %s while %s re-syncs" leader
-                        (History.Event.op_to_string op) key target.component;
-                  }
-            | _ -> ());
-            emit obs_gaps (rank `Obs_gap)
-              {
-                strategy =
-                  Strategy.observability_gap ~dst:target.component ~key_prefix:key ~op ~from
-                    ~until:horizon ();
-                rationale =
-                  Printf.sprintf "hide %s %s from %s" (History.Event.op_to_string op) key
-                    target.component;
-              };
-            emit stales (rank `Staleness)
-              {
-                strategy =
-                  Strategy.staleness ~dst:target.component ~from ~until:(time + stale_window)
-                    ~extra:stale_window ();
-                rationale =
-                  Printf.sprintf "lag %s's view across %s %s" target.component
-                    (History.Event.op_to_string op) key;
-              };
-            if target.restartable then
-              List.iter
-                (fun api ->
-                  emit travels (rank `Time_travel)
-                    {
-                      strategy =
-                        Strategy.time_travel ~stale_api:api ~victim:target.component
-                          ~stale_from:from
-                          ~crash_at:(time + (7 * slack))
-                          ~downtime ();
-                      rationale =
-                        Printf.sprintf "freeze %s before %s %s, then bounce %s onto it" api
-                          (History.Event.op_to_string op) key target.component;
-                    })
-                apis
-          end)
-        targets)
-    anchors;
-  let order queue =
-    List.rev !queue
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  in
-  (* Interleave the three pattern queues so an i-th-candidate budget sees
-     a balanced mixture. *)
-  let rec interleave queues =
-    let heads, rest =
-      List.fold_right
-        (fun queue (heads, rest) ->
-          match queue with
-          | [] -> (heads, rest)
-          | plan :: tail -> (plan :: heads, tail :: rest))
-        queues ([], [])
-    in
-    if heads = [] then [] else heads @ interleave rest
-  in
-  interleave [ order obs_gaps; order stales; order travels ]
+        (fun api ->
+          emit `Time_travel
+            {
+              strategy =
+                Strategy.time_travel ~stale_api:api ~victim:target.component ~stale_from:from
+                  ~crash_at:(time + (7 * slack))
+                  ~downtime ();
+              rationale =
+                Printf.sprintf "freeze %s before %s %s, then bounce %s onto it" api
+                  (History.Event.op_to_string op) key target.component;
+            })
+        apis
 
-(* HBase enumeration: the same three pattern queues over ZooKeeper's two
-   delivery-edge families. The master has no watch stream — its view IS
-   the follower replica — so its candidates perturb the replication edge
-   (dst [zk-follower]); region-server candidates perturb their one-shot
-   watch notifications. Time travel is the resync shape: stall
-   replication AND cut the leader-follower link (so catch-up pulls fail
-   too) across the anchor — with a bounded leader log the first pull
-   after healing lands below the compaction frontier and forces a
-   full-state resync; crash/restart variants bounce the consumer itself
-   (a ZooKeeper session expiry, a master failover). *)
-let enumerate_hbase ~(config : Hbaselike.Cluster.config) ~anchors ~horizon ~slack ~stale_window
-    ~downtime ~boost ~score =
-  let targets = targets_hbase config in
+(* HBase edges: the same three patterns over ZooKeeper's two delivery-edge
+   families. The master has no watch stream — its view IS the follower
+   replica — so its candidates perturb the replication edge (dst
+   [zk-follower]); region-server candidates perturb their one-shot watch
+   notifications. Time travel is the resync shape: stall replication AND
+   cut the leader-follower link (so catch-up pulls fail too) across the
+   anchor — with a bounded leader log the first pull after healing lands
+   below the compaction frontier and forces a full-state resync;
+   crash/restart variants bounce the consumer itself (a ZooKeeper session
+   expiry, a master failover). *)
+let hbase_edges ~horizon ~slack ~stale_window ~downtime ~emit ~target ~time ~key ~op ~from =
   let leader = "zk-leader" and follower = "zk-follower" in
-  let obs_gaps = ref [] and stales = ref [] and travels = ref [] in
-  let emit acc s plan = acc := (s, plan) :: !acc in
-  List.iter
-    (fun (time, key, op, origin) ->
-      let from = max 0 (time - slack) in
-      List.iter
-        (fun target ->
-          if consumed_by target key then begin
-            let rank pattern =
-              let b = boost ~component:target.component ~key ~pattern in
-              (-b, score ~target ~origin)
-            in
-            let is_master = String.equal target.component "master-1" in
-            let dst = if is_master then follower else target.component in
-            let whom = if is_master then "the follower view master-1 reads" else target.component in
-            emit obs_gaps (rank `Obs_gap)
-              {
-                strategy =
-                  Strategy.observability_gap ~src:leader ~dst ~key_prefix:key ~op ~from
-                    ~until:horizon ();
-                rationale =
-                  Printf.sprintf "hide %s %s from %s" (History.Event.op_to_string op) key whom;
-              };
-            emit stales (rank `Staleness)
-              {
-                strategy =
-                  Strategy.staleness ~src:leader ~dst ~key_prefix:key ~from
-                    ~until:(time + stale_window) ~extra:stale_window ();
-                rationale =
-                  Printf.sprintf "lag %s across %s %s" whom (History.Event.op_to_string op) key;
-              };
-            emit travels (rank `Time_travel)
-              {
-                strategy =
-                  Strategy.Combo
-                    [
-                      Strategy.staleness ~src:leader ~dst:follower ~from
-                        ~until:(time + stale_window) ~extra:stale_window ();
-                      Strategy.Partition_window
-                        { a = leader; b = follower; from; until = time + stale_window };
-                    ];
-                rationale =
-                  Printf.sprintf
-                    "stall replication and catch-up pulls across %s %s: the healed follower \
-                     resyncs below the compaction frontier"
-                    (History.Event.op_to_string op) key;
-              };
-            if target.restartable then
-              emit travels (rank `Time_travel)
-                {
-                  strategy =
-                    Strategy.Crash_restart
-                      { victim = target.component; at = time + (7 * slack); downtime };
-                  rationale =
-                    Printf.sprintf "expire %s's session across %s %s" target.component
-                      (History.Event.op_to_string op) key;
-                }
-          end)
-        targets)
-    anchors;
-  let order queue =
-    List.rev !queue
-    |> List.stable_sort (fun (a, _) (b, _) -> compare a b)
-    |> List.map snd
-  in
-  let rec interleave queues =
-    let heads, rest =
-      List.fold_right
-        (fun queue (heads, rest) ->
-          match queue with
-          | [] -> (heads, rest)
-          | plan :: tail -> (plan :: heads, tail :: rest))
-        queues ([], [])
-    in
-    if heads = [] then [] else heads @ interleave rest
-  in
-  interleave [ order obs_gaps; order stales; order travels ]
-
-let no_boost ~component:_ ~key:_ ~pattern:_ = 0
+  let is_master = String.equal target.component "master-1" in
+  let dst = if is_master then follower else target.component in
+  let whom = if is_master then "the follower view master-1 reads" else target.component in
+  emit `Obs_gap
+    {
+      strategy =
+        Strategy.observability_gap ~src:leader ~dst ~key_prefix:key ~op ~from ~until:horizon ();
+      rationale = Printf.sprintf "hide %s %s from %s" (History.Event.op_to_string op) key whom;
+    };
+  emit `Staleness
+    {
+      strategy =
+        Strategy.staleness ~src:leader ~dst ~key_prefix:key ~from ~until:(time + stale_window)
+          ~extra:stale_window ();
+      rationale = Printf.sprintf "lag %s across %s %s" whom (History.Event.op_to_string op) key;
+    };
+  emit `Time_travel
+    {
+      strategy =
+        Strategy.Combo
+          [
+            Strategy.staleness ~src:leader ~dst:follower ~from ~until:(time + stale_window)
+              ~extra:stale_window ();
+            Strategy.Partition_window
+              { a = leader; b = follower; from; until = time + stale_window };
+          ];
+      rationale =
+        Printf.sprintf
+          "stall replication and catch-up pulls across %s %s: the healed follower resyncs \
+           below the compaction frontier"
+          (History.Event.op_to_string op) key;
+    };
+  if target.restartable then
+    emit `Time_travel
+      {
+        strategy =
+          Strategy.Crash_restart { victim = target.component; at = time + (7 * slack); downtime };
+        rationale =
+          Printf.sprintf "expire %s's session across %s %s" target.component
+            (History.Event.op_to_string op) key;
+      }
 
 let candidates ~config ~events ~horizon ?(slack = 100_000) ?(stale_window = 1_500_000)
-    ?(downtime = 150_000) ?(boost = no_boost) () =
-  let anchors =
-    dedup_anchors events |> List.map (fun (time, key, op) -> (time, key, op, "unknown"))
-  in
-  enumerate ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost
-    ~score:(fun ~target:_ ~origin:_ -> 0)
+    ?(downtime = 150_000) () =
+  enumerate ~targets:(targets_of_config config) ~anchors:(plain_anchors events) ~slack
+    ~score:flat_score
+    ~edges:(kube_edges config ~horizon ~slack ~stale_window ~downtime)
 
 let candidates_causal ~config ~commits ~horizon ?(slack = 100_000) ?(stale_window = 1_500_000)
-    ?(downtime = 150_000) ?(boost = no_boost) () =
-  let anchors =
-    dedup_anchors
-      (List.map (fun c -> (c.Runner.time, c.Runner.key, c.Runner.op)) commits)
-    |> List.map (fun (time, key, op) ->
-           let origin =
-             match
-               List.find_opt
-                 (fun c -> String.equal c.Runner.key key && c.Runner.op = op)
-                 commits
-             with
-             | Some c -> c.Runner.origin
-             | None -> "unknown"
-           in
-           (time, key, op, origin))
-  in
-  (* A component's own writes are causally downstream of its view;
-     perturbing how it observes its own effects closes a reconcile
-     feedback loop. Those candidates go first, then perturbations of
-     other controllers' writes, then environment/user writes. *)
-  let score ~target ~origin =
-    if String.equal origin target.component then 0
-    else if String.equal origin "boot" then 2
-    else 1
-  in
-  enumerate ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost ~score
+    ?(downtime = 150_000) () =
+  enumerate ~targets:(targets_of_config config) ~anchors:(causal_anchors commits) ~slack
+    ~score:causal_score
+    ~edges:(kube_edges config ~horizon ~slack ~stale_window ~downtime)
 
 let candidates_hbase ~config ~events ~horizon ?(slack = 100_000) ?(stale_window = 1_500_000)
-    ?(downtime = 150_000) ?(boost = no_boost) () =
-  let anchors =
-    dedup_anchors events |> List.map (fun (time, key, op) -> (time, key, op, "unknown"))
-  in
-  enumerate_hbase ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost
-    ~score:(fun ~target:_ ~origin:_ -> 0)
+    ?(downtime = 150_000) () =
+  enumerate ~targets:(targets_hbase config) ~anchors:(plain_anchors events) ~slack
+    ~score:flat_score
+    ~edges:(hbase_edges ~horizon ~slack ~stale_window ~downtime)
 
 let candidates_causal_hbase ~config ~commits ~horizon ?(slack = 100_000)
-    ?(stale_window = 1_500_000) ?(downtime = 150_000) ?(boost = no_boost) () =
-  let anchors =
-    dedup_anchors
-      (List.map (fun c -> (c.Runner.time, c.Runner.key, c.Runner.op)) commits)
-    |> List.map (fun (time, key, op) ->
-           let origin =
-             match
-               List.find_opt
-                 (fun c -> String.equal c.Runner.key key && c.Runner.op = op)
-                 commits
-             with
-             | Some c -> c.Runner.origin
-             | None -> "unknown"
-           in
-           (time, key, op, origin))
-  in
-  let score ~target ~origin =
-    if String.equal origin target.component then 0
-    else if String.equal origin "boot" then 2
-    else 1
-  in
-  enumerate_hbase ~config ~anchors ~horizon ~slack ~stale_window ~downtime ~boost ~score
+    ?(stale_window = 1_500_000) ?(downtime = 150_000) () =
+  enumerate ~targets:(targets_hbase config) ~anchors:(causal_anchors commits) ~slack
+    ~score:causal_score
+    ~edges:(hbase_edges ~horizon ~slack ~stale_window ~downtime)

@@ -33,14 +33,9 @@ val consumed_by : target -> string -> bool
 
 type plan = { strategy : Strategy.t; rationale : string }
 
-type boost =
-  component:string -> key:string -> pattern:[ `Staleness | `Obs_gap | `Time_travel ] -> int
-(** A static-priority hint for a (component, key, pattern) cell: 0 means
-    not implicated, higher means schedule sooner. The hazard analysis
-    ({!Sieve} layer 2) supplies one built from its hazard graph. *)
-
-val no_boost : boost
-(** The constant-0 boost: every cell equally unremarkable. *)
+type commit = { time : int; key : string; op : History.Event.op; origin : string }
+(** One committed reference event; [origin] is the component whose
+    transaction produced it (re-exported as {!Runner.commit}). *)
 
 val candidates :
   config:Kube.Cluster.config ->
@@ -49,7 +44,6 @@ val candidates :
   ?slack:int ->
   ?stale_window:int ->
   ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
 (** Enumerates candidates over the reference events, deduplicated per
@@ -57,17 +51,15 @@ val candidates :
     so early candidates are diverse. [slack] (default 100 ms) starts each
     perturbation slightly before its anchor event; [stale_window] bounds
     delay-based staleness; [downtime] is the restart gap for time-travel
-    candidates. [boost] (default: constant 0) front-loads statically
-    hazard-implicated candidates within each pattern queue. *)
+    candidates. *)
 
 val candidates_causal :
   config:Kube.Cluster.config ->
-  commits:Runner.commit list ->
+  commits:commit list ->
   horizon:int ->
   ?slack:int ->
   ?stale_window:int ->
   ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
 (** Like {!candidates}, but uses each commit's originating component to
@@ -86,7 +78,6 @@ val candidates_hbase :
   ?slack:int ->
   ?stale_window:int ->
   ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
 (** {!candidates} for the HBase substrate. The master's view is the
@@ -98,12 +89,11 @@ val candidates_hbase :
 
 val candidates_causal_hbase :
   config:Hbaselike.Cluster.config ->
-  commits:Runner.commit list ->
+  commits:commit list ->
   horizon:int ->
   ?slack:int ->
   ?stale_window:int ->
   ?downtime:int ->
-  ?boost:boost ->
   unit ->
   plan list
 (** {!candidates_causal}'s ranking over {!candidates_hbase}'s

@@ -5,13 +5,8 @@ type test = {
   strategy : Strategy.t;
 }
 
-let base_test ?(name = "test") ?(config = Kube.Cluster.default_config) ~workload ~horizon strategy
-    =
-  { name; spec = Substrate.Kube { config; workload }; horizon; strategy }
-
-let hbase_test ?(name = "test") ?(config = Hbaselike.Cluster.default_config) ~workload ~horizon
-    strategy =
-  { name; spec = Substrate.Hbase { config; workload }; horizon; strategy }
+let base_test ?(name = "test") ?config ~workload ~horizon strategy =
+  { name; spec = Dialect.kube_spec ?config workload; horizon; strategy }
 
 type conformance = {
   conf_violations : Conformance.Monitor.violation list;
@@ -31,35 +26,14 @@ type outcome = {
 let kube_cluster outcome = Substrate.kube outcome.live
 
 let run_test ?(check_conformance = false) ?(diagnose = false) test =
+  let dialect = Dialect.of_spec test.spec in
   let live = Substrate.create test.spec in
-  let with_monitor = check_conformance || diagnose in
-  (* Construction order matches the single-substrate runner exactly:
-     cluster, oracle, monitor, strategy, start, workload — the fixed-seed
-     journal byte-identity gates depend on it. *)
-  let violations_of, hooks =
-    match live with
-    | Substrate.Kube_live cluster ->
-        let oracle = Oracle.attach cluster in
-        let hooks =
-          if with_monitor then
-            Some
-              (Conformance.Handle.of_kube
-                 (Conformance.Hooks.attach ~track_divergence:diagnose cluster))
-          else None
-        in
-        Strategy.apply cluster test.strategy;
-        ((fun () -> Oracle.violations oracle), hooks)
-    | Substrate.Hbase_live cluster ->
-        let oracle = Hbase_oracle.attach cluster in
-        let hooks =
-          if with_monitor then
-            Some
-              (Conformance.Handle.of_hbase
-                 (Conformance.Hbase_hooks.attach ~track_divergence:diagnose cluster))
-          else None
-        in
-        Strategy.apply_hbase cluster test.strategy;
-        ((fun () -> Hbase_oracle.violations oracle), hooks)
+  (* Construction order is cluster, oracle, monitor, strategy, start,
+     workload — the fixed-seed journal byte-identity gates depend on it;
+     the dialect's attach step covers the middle three. *)
+  let { Dialect.violations = violations_of; hooks } =
+    dialect.Dialect.attach live ~monitor:(check_conformance || diagnose)
+      ~track_divergence:diagnose test.strategy
   in
   Substrate.start live;
   Substrate.schedule live test.spec;
@@ -156,30 +130,23 @@ let artifact outcome =
      ]
     @ conformance)
 
-type commit = { time : int; key : string; op : History.Event.op; origin : string }
+type commit = Planner.commit = {
+  time : int;
+  key : string;
+  op : History.Event.op;
+  origin : string;
+}
 
 let reference_commits test =
   let live = Substrate.create test.spec in
-  let commits = ref [] in
   let engine = Substrate.engine live in
-  let note (e : _ History.Event.t) =
-    (* The origin table is filled by the server before listeners run
-       only for txn-committed events; look it up lazily afterwards
-       instead. Record the revision now. *)
-    commits :=
-      (Dsim.Engine.now engine, e.History.Event.key, e.History.Event.op, e.History.Event.rev)
-      :: !commits
-  in
+  let commits = ref [] in
+  (* The origin table is filled by the server before listeners run only
+     for txn-committed events; record the revision now and look its
+     origin up once the run is over. *)
   let origin_of =
-    match live with
-    | Substrate.Kube_live cluster ->
-        let etcd = Kube.Cluster.etcd cluster in
-        Kube.Etcd.on_commit etcd note;
-        Kube.Etcd.origin_of_rev etcd
-    | Substrate.Hbase_live cluster ->
-        let zk = Hbaselike.Cluster.zk cluster in
-        Etcdlike.Kv.on_commit (Hbaselike.Zk.leader_kv zk) note;
-        Hbaselike.Zk.origin_of_rev zk
+    (Dialect.of_spec test.spec).Dialect.reference_feed live (fun ~key ~op ~rev ->
+        commits := (Dsim.Engine.now engine, key, op, rev) :: !commits)
   in
   Substrate.start live;
   Substrate.schedule live test.spec;

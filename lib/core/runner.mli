@@ -20,14 +20,6 @@ val base_test :
   test
 (** A kube-dialect test (the historical default, hence the name). *)
 
-val hbase_test :
-  ?name:string ->
-  ?config:Hbaselike.Cluster.config ->
-  workload:Hbaselike.Cluster.workload ->
-  horizon:int ->
-  Strategy.t ->
-  test
-
 type conformance = {
   conf_violations : Conformance.Monitor.violation list;
       (** distinct violations, detection order *)
@@ -53,9 +45,11 @@ val kube_cluster : outcome -> Kube.Cluster.t
     @raise Invalid_argument on a non-kube outcome. *)
 
 val run_test : ?check_conformance:bool -> ?diagnose:bool -> test -> outcome
-(** With [check_conformance] (default false), a {!Conformance.Hooks}
-    monitor is attached before the strategy and start, checking every
-    cache boundary online; its findings land in {!outcome.conformance}
+(** The test's dialect ({!Dialect.of_spec}) wires the oracle, the
+    monitor and the strategy onto the fresh cluster, in that order,
+    before it starts. With [check_conformance] (default false), the
+    conformance monitor is attached, checking every cache boundary
+    online; its findings land in {!outcome.conformance}
     and, as a ["conformance"] section, in {!artifact}. With [diagnose]
     (default false), the monitor is attached with divergence tracking so
     a downstream diagnosis can pinpoint where each stream left the
@@ -88,7 +82,12 @@ val artifact : outcome -> Dsim.Json.t
     metrics snapshot — everything a downstream tool needs to triage the
     run without re-executing it. *)
 
-type commit = { time : int; key : string; op : History.Event.op; origin : string }
+type commit = Planner.commit = {
+  time : int;
+  key : string;
+  op : History.Event.op;
+  origin : string;
+}
 (** One committed reference event; [origin] is the component whose
     transaction produced it. *)
 

@@ -14,6 +14,7 @@
     reproductions; {!Report} renders tables. *)
 
 module Substrate = Substrate
+module Dialect = Dialect
 module Oracle = Oracle
 module Hbase_oracle = Hbase_oracle
 module Strategy = Strategy

@@ -7,16 +7,14 @@
     from a cluster (construction, start, workload scheduling, trace,
     metrics, committed-history frontier, commit anchors) dispatches
     through here, so those layers are substrate-blind; substrate-specific
-    analyses reach the concrete cluster through {!kube} / {!hbase}. *)
+    analyses reach the concrete cluster through {!kube} / {!hbase}, and
+    every per-dialect policy lives in {!Dialect}. *)
 
 type spec =
   | Kube of { config : Kube.Cluster.config; workload : Kube.Workload.t }
   | Hbase of { config : Hbaselike.Cluster.config; workload : Hbaselike.Cluster.workload }
 
 type live = Kube_live of Kube.Cluster.t | Hbase_live of Hbaselike.Cluster.t
-
-val name : spec -> string
-(** ["kube"] or ["hbase"]. *)
 
 val seed : spec -> int64
 
@@ -31,8 +29,6 @@ val schedule : live -> spec -> unit
 val run : until:int -> live -> unit
 
 val engine : live -> Dsim.Engine.t
-
-val net : live -> Dsim.Network.t
 
 val trace : live -> Dsim.Trace.t
 

@@ -232,11 +232,7 @@ let of_outcome ?(target = fun _ -> true) ?minimized (outcome : Sieve.Runner.outc
             | None -> ("conformance", anchor.Dsim.Trace.detail, [])
           in
           let spec = outcome.Sieve.Runner.test.Sieve.Runner.spec in
-          let footprints =
-            match spec with
-            | Sieve.Substrate.Kube { config; _ } -> Analysis.Footprint.of_config config
-            | Sieve.Substrate.Hbase { config; _ } -> Analysis.Footprint.of_hbase_config config
-          in
+          let footprints = Analysis.Footprint.of_spec spec in
           let hazards = Analysis.Hazard.of_footprints footprints in
           let divergence, suspect =
             match

@@ -47,57 +47,38 @@ type summary = {
 
 type planned_case = {
   case : Sieve.Bugs.case;
+  dialect : Sieve.Dialect.t;
   events : (int * string * History.Event.op) list;
-  components : string list;
-  apiservers : string list;
   scheduled : (int * Sieve.Planner.plan) list;  (* dispatch order *)
 }
 
-(* Coverage over the case's substrate; used both for scheduling and the
-   explored-space report. *)
-let coverage_of_case (case : Sieve.Bugs.case) ~events =
-  match case.Sieve.Bugs.spec with
-  | Sieve.Substrate.Kube { config; _ } -> Sieve.Coverage.create ~config ~events
-  | Sieve.Substrate.Hbase { config; _ } -> Sieve.Coverage.create_hbase ~config ~events
-
 let plan_case ?(hazard_rank = false) (case : Sieve.Bugs.case) =
-  let horizon = case.Sieve.Bugs.horizon in
+  let dialect = Sieve.Dialect.of_spec case.Sieve.Bugs.spec in
   let commits = Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case) in
   let events =
     List.map (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op)) commits
   in
-  (* With hazard ranking the static hazard graph enters as a
-     lexicographic priority above coverage gain in the scheduler. It is
-     deliberately NOT also passed as a planner boost here: the boost
-     reshuffles the candidate pool, and the pool's causal order is the
-     tie-break among equal-(priority, gain) trials — reordering it
-     measurably delays some exposures (cassandra-operator-402 in the
-     regression corpus). Direct Planner users can still opt into
-     [Analysis.Hazard.boost]. *)
-  let hazards, plans, targets, apiservers =
-    match case.Sieve.Bugs.spec with
-    | Sieve.Substrate.Kube { config; _ } ->
-        ( (if hazard_rank then Analysis.Hazard.of_config config else []),
-          Array.of_list (Sieve.Planner.candidates_causal ~config ~commits ~horizon ()),
-          Sieve.Planner.targets_of_config config,
-          List.init config.Kube.Cluster.apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) )
-    | Sieve.Substrate.Hbase { config; _ } ->
-        ( (if hazard_rank then
-             Analysis.Hazard.of_footprints (Analysis.Footprint.of_hbase_config config)
-           else []),
-          Array.of_list (Sieve.Planner.candidates_causal_hbase ~config ~commits ~horizon ()),
-          Sieve.Planner.targets_hbase config,
-          (* The explore baseline's "apiserver" endpoints are the store
-             addresses consumers actually talk to here. *)
-          [ "zk-leader"; "zk-follower" ] )
+  let plans =
+    Array.of_list
+      (dialect.Sieve.Dialect.candidates_causal ~commits ~horizon:case.Sieve.Bugs.horizon)
   in
-  let coverage = coverage_of_case case ~events in
+  let coverage = dialect.Sieve.Dialect.coverage ~events in
+  (* With hazard ranking the static hazard graph enters only as a
+     lexicographic priority above coverage gain in the scheduler: the
+     candidate pool keeps its causal order, which is the tie-break among
+     equal-(priority, gain) trials — reshuffling the pool by hazard
+     measurably delays some exposures (cassandra-operator-402 in the
+     regression corpus). *)
   let priority =
-    if hazard_rank then Some (Analysis.Hazard.plan_score hazards coverage) else None
+    if hazard_rank then
+      let hazards =
+        Analysis.Hazard.of_footprints (Analysis.Footprint.of_spec case.Sieve.Bugs.spec)
+      in
+      Some (Analysis.Hazard.plan_score hazards coverage)
+    else None
   in
   let scheduled = List.map (fun i -> (i, plans.(i))) (Schedule.order ?priority coverage plans) in
-  let components = List.map (fun t -> t.Sieve.Planner.component) targets in
-  { case; events; components; apiservers; scheduled }
+  { case; dialect; events; scheduled }
 
 (* Round-robin across cases so early trials are diverse even when one
    case dominates the candidate count. *)
@@ -176,7 +157,8 @@ let plan ?budget ?(seed = 42L) ?(hazard_rank = false) ~cases () =
              | None ->
                  List.hd
                    (Sieve.Baselines.random_faults ~seed:seeds.(index)
-                      ~components:pc.components ~apiservers:pc.apiservers
+                      ~components:(Sieve.Dialect.components pc.dialect)
+                      ~apiservers:pc.dialect.Sieve.Dialect.fault_endpoints
                       ~horizon:case.Sieve.Bugs.horizon ~n:1)
            in
            {
@@ -197,7 +179,7 @@ let plan ?budget ?(seed = 42L) ?(hazard_rank = false) ~cases () =
   let space =
     List.map
       (fun pc ->
-        let coverage = coverage_of_case pc.case ~events:pc.events in
+        let coverage = pc.dialect.Sieve.Dialect.coverage ~events:pc.events in
         Array.iter
           (fun (t : trial) ->
             if String.equal t.case_id pc.case.Sieve.Bugs.id then

@@ -50,11 +50,12 @@ val plan :
     reference executions the planner needs). [budget] defaults to
     exactly the planner's candidates; smaller truncates the
     coverage-ordered list, larger appends exploration trials. With
-    [hazard_rank] (default false) the static hazard graph
-    ({!Analysis.Hazard.of_config}) is ranked lexicographically above
-    coverage gain when ordering dispatch, so candidates implicating
-    statically hazardous (component, key, pattern) cells run first while
-    the candidate pool keeps its causal order as the tie-break. Pure in
+    [hazard_rank] (default false) the static hazard graph of the case's
+    footprints ({!Analysis.Footprint.of_spec}) is ranked
+    lexicographically above coverage gain when ordering dispatch, so
+    candidates implicating statically hazardous (component, key,
+    pattern) cells run first while the candidate pool keeps its causal
+    order as the tie-break. Pure in
     its arguments: equal inputs yield equal plans. *)
 
 type finding = {

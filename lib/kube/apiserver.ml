@@ -8,7 +8,7 @@ type subscription = {
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   etcd : string;
   window_size : int;
   bookmark_period : int;
@@ -222,7 +222,7 @@ let handle_watch t (w : Messages.watch_request) reply =
     reply (Messages.Watch_compacted { compacted_rev = t.window_start })
   else begin
     drop_subscriber t w.Messages.stream_id;
-    let edge = Intercept.{ src = t.name; dst = w.Messages.subscriber } in
+    let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
     let pipe =
       Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
     in

@@ -58,7 +58,7 @@ type t = {
   config : config;
   engine : Dsim.Engine.t;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   etcd : Etcd.t;
   apiservers : Apiserver.t list;
   kubelets : Kubelet.t list;
@@ -174,7 +174,7 @@ let create ?(config = default_config) () =
   let net =
     Dsim.Network.create ~min_latency:config.min_latency ~max_latency:config.max_latency engine
   in
-  let intercept = Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd =
     Etcd.create ~net ~intercept ?watch_window:config.etcd_watch_window
       ?replication:config.replication ()

@@ -18,7 +18,7 @@ type backend =
 type t = {
   name : string;
   net : Dsim.Network.t;
-  intercept : Intercept.t;
+  intercept : Resource.value History.Intercept.t;
   backend : backend;
   subs : subscription History.Dispatch.t;
   streams : (string, int) Hashtbl.t;  (* stream_id -> dispatch handle *)
@@ -118,7 +118,7 @@ let attach_sub t (w : Messages.watch_request) ~replica ~backlog reply ~rev =
       | None -> ());
       ignore (History.Dispatch.remove t.subs old_handle)
   | None -> ());
-  let edge = Intercept.{ src = t.name; dst = w.Messages.subscriber } in
+  let edge = History.Intercept.{ src = t.name; dst = w.Messages.subscriber } in
   let pipe =
     Pipe.create ~net:t.net ~intercept:t.intercept ~edge ~deliver:w.Messages.deliver ()
   in

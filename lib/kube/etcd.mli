@@ -32,7 +32,7 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  intercept:Intercept.t ->
+  intercept:Resource.value History.Intercept.t ->
   ?name:string ->
   ?watch_window:int ->
   ?bookmark_period:int ->

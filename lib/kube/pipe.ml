@@ -5,8 +5,8 @@ type item =
 
 type t = {
   net : Dsim.Network.t;
-  intercept : Intercept.t;
-  edge : Intercept.edge;
+  intercept : Resource.value History.Intercept.t;
+  edge : History.Intercept.edge;
   deliver : item -> unit;
   dst_incarnation : int;
   mutable closed : bool;
@@ -20,7 +20,7 @@ let create ~net ~intercept ~edge ~deliver () =
     intercept;
     edge;
     deliver;
-    dst_incarnation = Dsim.Network.incarnation net edge.Intercept.dst;
+    dst_incarnation = Dsim.Network.incarnation net edge.History.Intercept.dst;
     closed = false;
     last_due = 0;
     in_flight = 0;
@@ -36,11 +36,13 @@ let in_flight t = t.in_flight
 
 let deliverable t =
   (not t.closed)
-  && (not (Dsim.Network.partitioned t.net t.edge.Intercept.src t.edge.Intercept.dst))
-  && Dsim.Network.is_up t.net t.edge.Intercept.dst
-  && Dsim.Network.incarnation t.net t.edge.Intercept.dst = t.dst_incarnation
+  && (not
+        (Dsim.Network.partitioned t.net t.edge.History.Intercept.src
+           t.edge.History.Intercept.dst))
+  && Dsim.Network.is_up t.net t.edge.History.Intercept.dst
+  && Dsim.Network.incarnation t.net t.edge.History.Intercept.dst = t.dst_incarnation
 
-let inflight_gauge t = "pipe.inflight." ^ t.edge.Intercept.dst
+let inflight_gauge t = "pipe.inflight." ^ t.edge.History.Intercept.dst
 
 let enqueue t ~extra item =
   let engine = Dsim.Network.engine t.net in
@@ -56,7 +58,7 @@ let enqueue t ~extra item =
          Dsim.Metrics.add_gauge metrics (inflight_gauge t) (-1.0);
          if deliverable t then begin
            Dsim.Metrics.observe metrics
-             ("watch.latency." ^ t.edge.Intercept.dst)
+             ("watch.latency." ^ t.edge.History.Intercept.dst)
              (float_of_int (Dsim.Engine.now engine - sent));
            (* Events become trace entries so the commit -> delivery ->
               reconcile chain is walkable; bookmarks and seals are
@@ -65,8 +67,8 @@ let enqueue t ~extra item =
            | Event event ->
                Dsim.Metrics.incr metrics "pipe.delivered";
                ignore
-                 (Dsim.Engine.emit engine ~actor:t.edge.Intercept.dst ~kind:"pipe.deliver"
-                    (Format.asprintf "%a %s" Intercept.pp_edge t.edge
+                 (Dsim.Engine.emit engine ~actor:t.edge.History.Intercept.dst ~kind:"pipe.deliver"
+                    (Format.asprintf "%a %s" History.Intercept.pp_edge t.edge
                        (History.Event.describe event)))
            | Bookmark _ | Seal _ -> ());
            t.deliver item
@@ -77,8 +79,8 @@ let enqueue t ~extra item =
               notices the silence (no bookmarks) and re-lists. *)
            t.closed <- true;
            Dsim.Metrics.incr metrics "pipe.broken";
-           Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.broken"
-             (Format.asprintf "%a" Intercept.pp_edge t.edge)
+           Dsim.Engine.record engine ~actor:t.edge.History.Intercept.dst ~kind:"pipe.broken"
+             (Format.asprintf "%a" History.Intercept.pp_edge t.edge)
          end))
 
 let send t item =
@@ -86,11 +88,12 @@ let send t item =
     match item with
     | Bookmark _ | Seal _ -> enqueue t ~extra:0 item
     | Event event -> (
-        match Intercept.decide t.intercept t.edge event with
-        | Intercept.Pass -> enqueue t ~extra:0 item
-        | Intercept.Drop ->
+        match History.Intercept.decide t.intercept t.edge event with
+        | History.Intercept.Pass -> enqueue t ~extra:0 item
+        | History.Intercept.Drop ->
             let engine = Dsim.Network.engine t.net in
             Dsim.Metrics.incr (Dsim.Engine.metrics engine) "pipe.dropped";
-            Dsim.Engine.record engine ~actor:t.edge.Intercept.dst ~kind:"pipe.drop"
-              (Format.asprintf "%a %s" Intercept.pp_edge t.edge (History.Event.describe event))
-        | Intercept.Delay extra -> enqueue t ~extra item)
+            Dsim.Engine.record engine ~actor:t.edge.History.Intercept.dst ~kind:"pipe.drop"
+              (Format.asprintf "%a %s" History.Intercept.pp_edge t.edge
+                 (History.Event.describe event))
+        | History.Intercept.Delay extra -> enqueue t ~extra item)

@@ -29,8 +29,8 @@ type t
 
 val create :
   net:Dsim.Network.t ->
-  intercept:Intercept.t ->
-  edge:Intercept.edge ->
+  intercept:Resource.value History.Intercept.t ->
+  edge:History.Intercept.edge ->
   deliver:(item -> unit) ->
   unit ->
   t
@@ -39,7 +39,7 @@ val create :
     remaining deliveries are dropped (the new incarnation must
     re-subscribe, obtaining a fresh pipe). *)
 
-val edge : t -> Intercept.edge
+val edge : t -> History.Intercept.edge
 
 val send : t -> item -> unit
 (** Enqueues one item, consulting the interceptor for events. *)

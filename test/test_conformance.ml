@@ -345,7 +345,7 @@ let qcheck_store_agrees_with_model =
 (* --- mutation self-test -------------------------------------------- *)
 
 let selftest_all_mutations_detected () =
-  let outcomes = Conformance.Selftest.run () in
+  let outcomes = Conformance.Selftest.run Conformance.Selftest.kube in
   Alcotest.(check int) "control + five mutations" 6 (List.length outcomes);
   List.iter
     (fun (o : Conformance.Selftest.outcome) ->
@@ -355,7 +355,7 @@ let selftest_all_mutations_detected () =
         true (Conformance.Selftest.ok o))
     outcomes
 
-let selftest_stable_across_seeds () =
+let stable_across_seeds table () =
   List.iter
     (fun seed ->
       List.iter
@@ -363,15 +363,27 @@ let selftest_stable_across_seeds () =
           Alcotest.(check bool)
             (Printf.sprintf "seed %Ld: %s" seed o.Conformance.Selftest.mutation)
             true (Conformance.Selftest.ok o))
-        (Conformance.Selftest.run ~seed ()))
+        (Conformance.Selftest.run ~seed table))
     [ 1L; 7L; 42L ]
 
 (* HBase-boundary mutations: each must trip with its *expected* code —
    a lost one-shot notification is a gap, a truncated master view is a
    state divergence, a forged znode payload is a content violation. *)
 let selftest_hbase_mutations_detected () =
-  let outcomes = Conformance.Selftest.run_hbase () in
-  Alcotest.(check int) "control + three mutations" 4 (List.length outcomes);
+  let outcomes = Conformance.Selftest.run Conformance.Selftest.hbase in
+  Alcotest.(check (list (pair string (option string))))
+    "each mutation pins its code"
+    [
+      ("control", None);
+      ("drop-zk-notify", Some "gap");
+      ("stale-region-map", Some "state-divergence");
+      ("forge-znode", Some "content");
+    ]
+    (List.map
+       (fun (o : Conformance.Selftest.outcome) ->
+         ( o.Conformance.Selftest.mutation,
+           Option.map Conformance.Monitor.code_to_string o.Conformance.Selftest.expected ))
+       outcomes);
   List.iter
     (fun (o : Conformance.Selftest.outcome) ->
       Alcotest.(check bool)
@@ -379,21 +391,8 @@ let selftest_hbase_mutations_detected () =
            (if o.Conformance.Selftest.tripped then "tripped" else "silent")
            (String.concat ","
               (List.map Conformance.Monitor.code_to_string o.Conformance.Selftest.codes)))
-        true
-        (Conformance.Selftest.hbase_ok o))
+        true (Conformance.Selftest.ok o))
     outcomes
-
-let selftest_hbase_stable_across_seeds () =
-  List.iter
-    (fun seed ->
-      List.iter
-        (fun (o : Conformance.Selftest.outcome) ->
-          Alcotest.(check bool)
-            (Printf.sprintf "seed %Ld: %s" seed o.Conformance.Selftest.mutation)
-            true
-            (Conformance.Selftest.hbase_ok o))
-        (Conformance.Selftest.run_hbase ~seed ()))
-    [ 1L; 7L; 42L ]
 
 (* --- cluster tier: silence under faults, passivity ----------------- *)
 
@@ -505,11 +504,12 @@ let suites =
     ( "conformance self-test",
       [
         Alcotest.test_case "all mutations detected" `Quick selftest_all_mutations_detected;
-        Alcotest.test_case "stable across seeds" `Quick selftest_stable_across_seeds;
+        Alcotest.test_case "stable across seeds" `Quick
+          (stable_across_seeds Conformance.Selftest.kube);
         Alcotest.test_case "hbase mutations trip their expected codes" `Quick
           selftest_hbase_mutations_detected;
         Alcotest.test_case "hbase mutations stable across seeds" `Quick
-          selftest_hbase_stable_across_seeds;
+          (stable_across_seeds Conformance.Selftest.hbase);
       ] );
     ( "conformance cluster",
       [

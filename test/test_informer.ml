@@ -4,7 +4,7 @@
 let setup ?(apiservers = 1) () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let names = List.init apiservers (fun i -> Printf.sprintf "api-%d" (i + 1)) in
   let apis =

@@ -3,7 +3,7 @@
 let setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
   (engine, net, intercept, etcd)
@@ -65,7 +65,7 @@ let etcd_watch_window_compaction () =
   (* Recreate with a tiny window on a fresh engine for isolation. *)
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept ~watch_window:2 () in
   Dsim.Network.register net "client" ~serve:(fun ~src:_ _ _ -> ()) ();
   for i = 1 to 6 do
@@ -91,7 +91,7 @@ let etcd_watch_window_compaction () =
 let api_setup () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
   Kube.Apiserver.start api;
@@ -147,7 +147,7 @@ let apiserver_txn_forwarded () =
 let apiserver_watch_compacted_window () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" ~window_size:2 () in
   Kube.Apiserver.start api;
@@ -194,7 +194,7 @@ let apiserver_restart_relists () =
 let apiserver_reregister_from_delivery () =
   let engine = Dsim.Engine.create () in
   let net = Dsim.Network.create engine in
-  let intercept = Kube.Intercept.create () in
+  let intercept = History.Intercept.create () in
   let etcd = Kube.Etcd.create ~net ~intercept () in
   let api = Kube.Apiserver.create ~net ~intercept ~name:"api-1" ~etcd:"etcd" () in
   Kube.Apiserver.start api;
