@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain dune underneath.
 
-.PHONY: all build test bench examples bugs smoke journals clean
+.PHONY: all build test bench examples bugs smoke journals perfbench-smoke clean
 
 all: build
 
@@ -42,6 +42,18 @@ journals:
 	for pin in kube rep hbase; do \
 	  grep -q "$$(sha256sum _hunt-journals/$$pin/journal.jsonl | cut -d' ' -f1)  $$pin:" \
 	    HUNT_JOURNAL.sha256 || { echo "journal $$pin differs from its pin"; exit 1; }; \
+	done
+
+# Run the benchmark for 5 s on each workload with tracing on, and fail
+# unless every run's last line reports "correct": true. Its gates include
+# the call-by-call replay of Campaign.plan's dispatch order.
+perfbench-smoke:
+	for w in hunt-kube hunt-rep-hbase soak-kube; do \
+	  python3 perfbench/run.py --workload $$w --seed 42 --seconds 5 --trace 1 \
+	    > _build/perfbench-smoke.out || { echo "perfbench $$w: exit $$?"; exit 1; }; \
+	  tail -n 1 _build/perfbench-smoke.out | python3 -c \
+	    'import json, sys; r = json.load(sys.stdin); print(sys.argv[1], "correct:", r["correct"], "failed:", r["failed"]); sys.exit(r["correct"] is not True)' \
+	    $$w || exit 1; \
 	done
 
 examples:

@@ -11,8 +11,9 @@ type t = {
   targets : Planner.target list;
   keys : string list;  (** distinct reference keys *)
   all_cells : cell list;  (** the space, in enumeration order *)
-  valid : (cell, unit) Hashtbl.t;  (** same cells, O(1) membership *)
-  marked : (cell, unit) Hashtbl.t;
+  ids : (cell, int) Hashtbl.t;  (** each cell's position in [all_cells] *)
+  marked : bool array;  (** by id *)
+  mutable covered : int;  (** number of [true]s in [marked] *)
 }
 
 let enumerate targets keys =
@@ -31,9 +32,10 @@ let enumerate targets keys =
 let of_targets targets ~events =
   let keys = List.sort_uniq String.compare (List.map (fun (_, key, _) -> key) events) in
   let all_cells = enumerate targets keys in
-  let valid = Hashtbl.create (max 16 (List.length all_cells)) in
-  List.iter (fun cell -> Hashtbl.replace valid cell ()) all_cells;
-  { targets; keys; all_cells; valid; marked = Hashtbl.create 128 }
+  let n = List.length all_cells in
+  let ids = Hashtbl.create (max 16 n) in
+  List.iteri (fun id cell -> Hashtbl.replace ids cell id) all_cells;
+  { targets; keys; all_cells; ids; marked = Array.make n false; covered = 0 }
 
 let create ~config ~events = of_targets (Planner.targets_of_config config) ~events
 
@@ -42,39 +44,34 @@ let create_hbase ~config ~events = of_targets (Planner.targets_hbase config) ~ev
 let matching_keys t prefix =
   match prefix with
   | None -> t.keys
-  | Some p ->
-      List.filter
-        (fun key ->
-          String.length key >= String.length p
-          && String.equal (String.sub key 0 (String.length p)) p)
-        t.keys
+  | Some p -> List.filter (String.starts_with ~prefix:p) t.keys
 
 let all_components t = List.map (fun target -> target.Planner.component) t.targets
 
-let is_apiserver name =
-  String.length name >= 4 && String.equal (String.sub name 0 4) "api-"
+let is_apiserver name = String.starts_with ~prefix:"api-" name
 
 (* "etcd" (single backend), "etcd-<k>" (a replica of the replicated
    backend) or "zk-<role>" (the HBase substrate's ZooKeeper pair):
    faulting either side of the store makes every consumer's view
    potentially stale. *)
-let is_store name =
-  (String.length name >= 4 && String.equal (String.sub name 0 4) "etcd")
-  || (String.length name >= 3 && String.equal (String.sub name 0 3) "zk-")
+let is_store name = String.starts_with ~prefix:"etcd" name || String.starts_with ~prefix:"zk-" name
 
-let rec cells_of t (strategy : Strategy.t) =
+(* Calls [f cell id] for every in-space cell the strategy exercises, in
+   {!cells_of} order (duplicates included). *)
+let rec iter_cells t f (strategy : Strategy.t) =
   let scoped components ~key_prefix pattern =
-    List.concat_map
+    let keys = matching_keys t key_prefix in
+    List.iter
       (fun component ->
-        List.filter_map
+        List.iter
           (fun key ->
             let cell = { component; key; pattern } in
-            if Hashtbl.mem t.valid cell then Some cell else None)
-          (matching_keys t key_prefix))
+            match Hashtbl.find_opt t.ids cell with Some id -> f cell id | None -> ())
+          keys)
       components
   in
   match strategy with
-  | Strategy.No_perturbation -> []
+  | Strategy.No_perturbation -> ()
   (* A delivery fault whose destination is a store replica (the HBase
      follower) starves every consumer reading through it, not a single
      component. *)
@@ -109,38 +106,45 @@ let rec cells_of t (strategy : Strategy.t) =
         (* A crashed replica (or leader) stalls or re-routes every read
            pinned to it: staleness raw material for all consumers. *)
         scoped (all_components t) ~key_prefix:None `Staleness
-      else []
-  | Strategy.Combo parts -> List.concat_map (cells_of t) parts
+      else ()
+  | Strategy.Combo parts -> List.iter (iter_cells t f) parts
+
+let cells_of t strategy =
+  let acc = ref [] in
+  iter_cells t (fun cell _ -> acc := cell :: !acc) strategy;
+  List.rev !acc
+
+let cell_ids t strategy =
+  let acc = ref [] in
+  iter_cells t (fun _ id -> acc := id :: !acc) strategy;
+  Array.of_list (List.sort_uniq Int.compare !acc)
+
+let is_marked t id = t.marked.(id)
 
 let note t strategy =
-  List.iter (fun cell -> Hashtbl.replace t.marked cell ()) (cells_of t strategy)
-
-let gain t strategy =
-  let fresh = Hashtbl.create 16 in
-  List.iter
-    (fun cell -> if not (Hashtbl.mem t.marked cell) then Hashtbl.replace fresh cell ())
-    (cells_of t strategy);
-  Hashtbl.length fresh
+  iter_cells t
+    (fun _ id ->
+      if not t.marked.(id) then begin
+        t.marked.(id) <- true;
+        t.covered <- t.covered + 1
+      end)
+    strategy
 
 let cells t = t.all_cells
 
-let total t = List.length t.all_cells
+let total t = Array.length t.marked
 
-let covered t = Hashtbl.length t.marked
+let covered t = t.covered
 
 let ratio t =
   let n = total t in
   if n = 0 then 0.0 else float_of_int (covered t) /. float_of_int n
 
 let by_pattern t =
+  let done_ = List.filteri (fun id _ -> t.marked.(id)) t.all_cells in
+  let count pattern cells = List.length (List.filter (fun c -> c.pattern = pattern) cells) in
   List.map
-    (fun pattern ->
-      let in_pattern = List.filter (fun c -> c.pattern = pattern) t.all_cells in
-      let done_ = List.filter (Hashtbl.mem t.marked) in_pattern in
-      (pattern, List.length done_, List.length in_pattern))
+    (fun pattern -> (pattern, count pattern done_, count pattern t.all_cells))
     [ `Staleness; `Obs_gap; `Time_travel ]
 
-let uncovered t =
-  t.all_cells
-  |> List.filter (fun c -> not (Hashtbl.mem t.marked c))
-  |> List.sort compare
+let uncovered t = t.all_cells |> List.filteri (fun id _ -> not t.marked.(id)) |> List.sort compare

@@ -45,14 +45,20 @@ val cells_of : t -> Strategy.t -> cell list
     mark), without marking anything. May contain duplicates for combo
     strategies whose parts overlap. *)
 
-val gain : t -> Strategy.t -> int
-(** How many currently-uncovered cells the strategy would newly cover —
-    the coverage-guided scheduler's ranking signal. *)
+val cell_ids : t -> Strategy.t -> int array
+(** The same cells as {!cells_of}, each once, as dense ids — positions
+    in {!cells}, so every id is in [0 .. total t - 1] — in ascending
+    order. The coverage-guided scheduler interns each candidate through
+    this once and then works on ints. *)
+
+val is_marked : t -> int -> bool
+(** Whether the cell with this id has been {!note}d. *)
 
 val cells : t -> cell list
-(** Every cell of the space, in enumeration order — the raw material for
-    static hazard scoring ({!Sieve} layer 2), which maps each cell to the
-    severity of the hazards implicating it. *)
+(** Every cell of the space, in enumeration order (a cell's position is
+    its {!cell_ids} id) — the raw material for static hazard scoring
+    ({!Sieve} layer 2), which maps each cell to the severity of the
+    hazards implicating it. *)
 
 val total : t -> int
 

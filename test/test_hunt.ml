@@ -118,6 +118,157 @@ let pool_propagates_exceptions () =
   | () -> Alcotest.fail "expected the worker's exception"
   | exception Failure msg -> Alcotest.(check string) "original exception" "boom" msg
 
+(* --- schedule ------------------------------------------------------ *)
+
+(* The scheduler as it stood before gains became interned counters,
+   kept as the reference the counter-based one must agree with. It is
+   verbatim but for [gain], which [Coverage] no longer exports: it is
+   rebuilt below from [cells_of] and the still-uncovered cells. *)
+let reference_gain coverage strategy =
+  let uncovered = Hashtbl.create 64 in
+  List.iter (fun cell -> Hashtbl.replace uncovered cell ()) (Sieve.Coverage.uncovered coverage);
+  let fresh = Hashtbl.create 16 in
+  List.iter
+    (fun cell -> if Hashtbl.mem uncovered cell then Hashtbl.replace fresh cell ())
+    (Sieve.Coverage.cells_of coverage strategy);
+  Hashtbl.length fresh
+
+let reference_order ?priority coverage (plans : Sieve.Planner.plan array) =
+  let n = Array.length plans in
+  let prio =
+    match priority with
+    | None -> Array.make n 0
+    | Some f -> Array.init n (fun i -> f plans.(i))
+  in
+  let pending = Array.make n true in
+  let out = ref [] in
+  for _ = 1 to n do
+    let best = ref (-1) and best_key = ref (min_int, -1) in
+    for i = 0 to n - 1 do
+      if pending.(i) then begin
+        let key = (prio.(i), reference_gain coverage plans.(i).Sieve.Planner.strategy) in
+        if key > !best_key then begin
+          best := i;
+          best_key := key
+        end
+      end
+    done;
+    pending.(!best) <- false;
+    Sieve.Coverage.note coverage plans.(!best).Sieve.Planner.strategy;
+    out := !best :: !out
+  done;
+  List.rev !out
+
+(* Every corpus case's candidate pool and a maker for its (fresh)
+   coverage space, built as [Campaign.plan] builds them. *)
+let pools =
+  lazy
+    (Array.of_list
+       (List.map
+          (fun (case : Sieve.Bugs.case) ->
+            let dialect = Sieve.Dialect.of_spec case.Sieve.Bugs.spec in
+            let commits =
+              Sieve.Runner.reference_commits (Sieve.Bugs.reference_test_of_case case)
+            in
+            let events =
+              List.map
+                (fun c -> (c.Sieve.Runner.time, c.Sieve.Runner.key, c.Sieve.Runner.op))
+                commits
+            in
+            let plans =
+              Array.of_list
+                (dialect.Sieve.Dialect.candidates_causal ~commits ~horizon:case.Sieve.Bugs.horizon)
+            in
+            (plans, fun () -> dialect.Sieve.Dialect.coverage ~events))
+          (Sieve.Bugs.all_with_extras () @ Sieve.Bugs.replicated () @ Sieve.Bugs.hbase ())))
+
+(* A pick is one pool candidate, or a combo of a few near-neighbours of
+   one (repeats allowed), so its parts often share cells. Small indices
+   are drawn often, so inputs repeat candidates. *)
+type pick = One of int | Combo of int * int list
+
+let index_gen = QCheck.Gen.(frequency [ (2, int_bound 12); (1, int_bound 10_000) ])
+
+let pick_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> One i) index_gen);
+        ( 1,
+          map2
+            (fun i offsets -> Combo (i, offsets))
+            index_gen
+            (list_size (int_range 2 3) (int_bound 2)) );
+      ])
+
+let schedule_input_gen =
+  QCheck.Gen.(
+    triple (int_bound 1_000)
+      (list_size (int_range 0 40) pick_gen)
+      (list_size (int_range 0 4) pick_gen))
+
+let print_pick = function
+  | One i -> string_of_int i
+  | Combo (i, offsets) ->
+      Printf.sprintf "combo(%s)"
+        (String.concat "+" (List.map (fun o -> string_of_int (i + o)) offsets))
+
+let print_schedule_input (case, picks, premarks) =
+  Printf.sprintf "case=%d picks=[%s] premarks=[%s]" case
+    (String.concat "; " (List.map print_pick picks))
+    (String.concat "; " (List.map print_pick premarks))
+
+let plan_of_pick (pool : Sieve.Planner.plan array) pick =
+  let at i = pool.(i mod Array.length pool) in
+  match pick with
+  | One i -> at i
+  | Combo (i, offsets) ->
+      {
+        (at i) with
+        Sieve.Planner.strategy =
+          Sieve.Strategy.Combo
+            (List.map (fun o -> (at (i + o)).Sieve.Planner.strategy) offsets);
+      }
+
+(* A small-range priority so equal-priority ties are common. *)
+let hashed_priority (plan : Sieve.Planner.plan) =
+  Hashtbl.hash (Sieve.Strategy.describe plan.Sieve.Planner.strategy) mod 3
+
+let schedule_matches_reference (case, picks, premarks) =
+  let pools = Lazy.force pools in
+  let pool, space = pools.(case mod Array.length pools) in
+  let plans = Array.of_list (List.map (plan_of_pick pool) picks) in
+  let run order ?priority () =
+    let coverage = space () in
+    List.iter
+      (fun pick -> Sieve.Coverage.note coverage (plan_of_pick pool pick).Sieve.Planner.strategy)
+      premarks;
+    let permutation = order ?priority coverage plans in
+    (permutation, Sieve.Coverage.covered coverage, Sieve.Coverage.uncovered coverage)
+  in
+  List.for_all
+    (fun priority ->
+      run reference_order ?priority () = run Hunt.Schedule.order ?priority ())
+    [ None; Some hashed_priority ]
+
+let qcheck_schedule_matches_reference =
+  QCheck.Test.make ~count:150 ~name:"counter greedy = pre-counter greedy"
+    (QCheck.make ~print:print_schedule_input schedule_input_gen)
+    schedule_matches_reference
+
+(* Nothing left to gain: every round is a zero-gain tie, which the first
+   pending candidate wins. *)
+let schedule_precovered_is_index_order () =
+  Array.iter
+    (fun (pool, space) ->
+      let coverage = space () in
+      Array.iter (fun (p : Sieve.Planner.plan) -> Sieve.Coverage.note coverage p.strategy) pool;
+      Alcotest.(check (list int))
+        "index order"
+        (List.init (Array.length pool) Fun.id)
+        (Hunt.Schedule.order coverage pool))
+    (Lazy.force pools)
+
 (* --- campaign ------------------------------------------------------ *)
 
 let campaign ?(jobs = 1) ?(resume = false) ~out () =
@@ -218,6 +369,12 @@ let suites =
       [
         Alcotest.test_case "emits in task order" `Quick pool_emits_in_order;
         Alcotest.test_case "propagates worker exceptions" `Quick pool_propagates_exceptions;
+      ] );
+    ( "hunt.schedule",
+      [
+        Qcheck_util.to_alcotest qcheck_schedule_matches_reference;
+        Alcotest.test_case "fully pre-covered pool keeps index order" `Quick
+          schedule_precovered_is_index_order;
       ] );
     ( "hunt.campaign",
       [
