@@ -123,7 +123,7 @@ let attach ?strict ?(track_divergence = false) ?(lag_grace = 250_000) ?(check_pe
   History.Intercept.set_observer (Hbaselike.Cluster.intercept cluster)
     (fun _edge _event decision ->
       match decision with History.Intercept.Drop -> Monitor.relax monitor | _ -> ());
-  Dsim.Engine.every engine ~period:check_period (fun () ->
+  Dsim.Engine.every ~tag:"conformance.sweep" engine ~period:check_period (fun () ->
       check_sweep t;
       true);
   t

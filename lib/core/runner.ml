@@ -25,9 +25,10 @@ type outcome = {
 
 let kube_cluster outcome = Substrate.kube outcome.live
 
-let run_test ?(check_conformance = false) ?(diagnose = false) test =
+let run_test ?(check_conformance = false) ?(diagnose = false) ?profile test =
   let dialect = Dialect.of_spec test.spec in
   let live = Substrate.create test.spec in
+  Option.iter (fun clock -> Dsim.Engine.enable_profile (Substrate.engine live) ~clock) profile;
   (* Construction order is cluster, oracle, monitor, strategy, start,
      workload — the fixed-seed journal byte-identity gates depend on it;
      the dialect's attach step covers the middle three. *)

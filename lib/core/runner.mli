@@ -44,7 +44,8 @@ val kube_cluster : outcome -> Kube.Cluster.t
 (** The kube cluster behind the outcome.
     @raise Invalid_argument on a non-kube outcome. *)
 
-val run_test : ?check_conformance:bool -> ?diagnose:bool -> test -> outcome
+val run_test :
+  ?check_conformance:bool -> ?diagnose:bool -> ?profile:(unit -> float) -> test -> outcome
 (** The test's dialect ({!Dialect.of_spec}) wires the oracle, the
     monitor and the strategy onto the fresh cluster, in that order,
     before it starts. With [check_conformance] (default false), the
@@ -55,7 +56,10 @@ val run_test : ?check_conformance:bool -> ?diagnose:bool -> test -> outcome
     a downstream diagnosis can pinpoint where each stream left the
     committed subsequence ({!outcome.hooks}). Either way the monitor is
     passive — a run's trajectory, trace and metrics are unchanged unless
-    a violation fires. *)
+    a violation fires. With [profile] (a wall clock in seconds, e.g.
+    [Unix.gettimeofday]) the run's engine counts events, handler time and
+    allocation per tag from construction on ({!Dsim.Engine.profile});
+    the history is unchanged. *)
 
 val violation_entry : outcome -> Dsim.Trace.entry option
 (** The trace entry anchoring the run's first violation: the first

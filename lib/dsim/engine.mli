@@ -53,10 +53,12 @@ val emit : ?cause:int -> t -> actor:string -> kind:string -> string -> int
 (** Like {!record}, but returns the new entry's id and makes it the
     current frontier, so later records and scheduled work chain to it. *)
 
-val schedule : t -> delay:int -> (unit -> unit) -> timer
-(** [schedule t ~delay f] runs [f] at [now t + max 0 delay]. *)
+val schedule : ?tag:string -> t -> delay:int -> (unit -> unit) -> timer
+(** [schedule t ~delay f] runs [f] at [now t + max 0 delay]. [tag] names
+    the {!profile} bucket the run is counted under (default
+    ["untagged"]); it changes nothing else. *)
 
-val schedule_at : t -> time:int -> (unit -> unit) -> timer
+val schedule_at : ?tag:string -> t -> time:int -> (unit -> unit) -> timer
 (** Absolute-time variant; times in the past fire at the current time. *)
 
 val cancel : timer -> unit
@@ -75,7 +77,31 @@ val run : ?until:int -> ?max_events:int -> t -> unit
     [max_events] events have executed. Events scheduled exactly at
     [until] still run. *)
 
-val every : t -> ?jitter:int -> period:int -> (unit -> bool) -> unit
+val every : ?tag:string -> t -> ?jitter:int -> period:int -> (unit -> bool) -> unit
 (** [every t ~period f] runs [f] now and then every [period] (plus a
     uniform jitter in [\[0, jitter\]]) until [f] returns [false]. Used for
-    resync loops, health checks and reconcile timers. *)
+    resync loops, health checks and reconcile timers. One timer record
+    serves the whole loop. [tag] is the loop's {!profile} bucket. *)
+
+(** {2 Profiling}
+
+    Per-tag accounting of the handlers the engine runs: how many events
+    each tag fired, their wall time and the minor words they allocated.
+    Off by default; an engine without a profiler pays one pattern match
+    per event. Switching it on changes no event, RNG draw, trace entry or
+    metric. *)
+
+val enable_profile : t -> clock:(unit -> float) -> unit
+(** Starts counting on this engine from now on; [clock] reads wall time
+    in seconds (e.g. [Unix.gettimeofday]). A second call is a no-op. *)
+
+type profile_row = {
+  tag : string;
+  events : int;  (** handlers run (cancelled timers are not counted) *)
+  seconds : float;  (** wall time inside the handlers *)
+  minor_words : float;  (** allocated by the handlers, measurement cost removed *)
+}
+
+val profile : t -> profile_row list
+(** One row per tag seen since {!enable_profile}, sorted by tag; [[]]
+    when profiling is off. *)

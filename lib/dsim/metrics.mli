@@ -1,8 +1,9 @@
 (** Counters, gauges, latency histograms and virtual-time series for the
     observability layer and the benchmark harness.
 
-    Histogram samples live in a growable array with a cached sorted
-    copy: {!observe} is amortized O(1) and invalidates the cache, the
+    Gauge values, histogram samples and series points are stored
+    unboxed. Histogram samples live in a growable array with a cached
+    sorted copy: {!observe} is amortized O(1) and invalidates the cache, the
     first {!percentile}/query after a write pays one sort, and repeated
     queries are O(1). *)
 
@@ -77,5 +78,50 @@ val to_json : t -> Json.t
     byte-identical snapshots. *)
 
 val reset : t -> unit
+
+(** {2 Handles}
+
+    A handle names one metric once, so a hot path updates it without
+    building or hashing the name. The metric is created on the handle's
+    first update, not when the handle is made: taking handles up front
+    leaves {!to_json} exactly as the name-based calls would. Handles and
+    name-based calls on the same name update the same metric, also
+    across {!reset}. *)
+
+type registry = t
+
+module Counter : sig
+  type t
+
+  val make : registry -> string -> t
+
+  val incr : t -> unit
+end
+
+module Gauge : sig
+  type t
+
+  val make : registry -> string -> t
+
+  val set : t -> float -> unit
+
+  val add : t -> float -> unit
+end
+
+module Histogram : sig
+  type t
+
+  val make : registry -> string -> t
+
+  val observe : t -> float -> unit
+end
+
+module Series : sig
+  type t
+
+  val make : registry -> string -> t
+
+  val sample : t -> time:int -> float -> unit
+end
 
 val pp : Format.formatter -> t -> unit

@@ -1,36 +1,45 @@
-type t = { mutable state : int64 }
+(* The 64-bit counter lives in an 8-byte buffer rather than a mutable
+   [int64] field: reading and writing it through the buffer keeps the
+   arithmetic unboxed, where a field update would allocate a fresh boxed
+   int64 on every draw. *)
+type t = { state : Bytes.t }
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = seed }
+let create seed =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 seed;
+  { state }
 
-let copy t = { state = t.state }
+let copy t = { state = Bytes.copy t.state }
 
 (* SplitMix64 finalizer (Steele, Lea, Flood; JDK SplittableRandom). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t.state 0) golden_gamma in
+  Bytes.set_int64_le t.state 0 s;
+  mix s
 
-let split t = create (int64 t)
+let int64 t = next t
+
+let split t = create (next t)
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
-  let mask = Int64.of_int max_int in
-  let v = Int64.to_int (Int64.logand (int64 t) mask) in
+  let v = Int64.to_int (Int64.logand (next t) (Int64.of_int max_int)) in
   v mod bound
 
 let float t bound =
   (* 53 random bits scaled into [0, 1). *)
-  let bits = Int64.shift_right_logical (int64 t) 11 in
+  let bits = Int64.shift_right_logical (next t) 11 in
   let unit = Int64.to_float bits /. 9007199254740992.0 in
   unit *. bound
 
-let bool t = Int64.logand (int64 t) 1L = 1L
+let bool t = Int64.logand (next t) 1L = 1L
 
 let chance t p =
   if p <= 0.0 then false

@@ -121,7 +121,7 @@ let start t =
        (String.concat "," (server_names t.config)));
   Master.start t.master;
   List.iter Regionserver.start t.region_servers;
-  Dsim.Engine.every t.engine ~period:t.config.obs_sample_period (fun () ->
+  Dsim.Engine.every ~tag:"hbase.lag-sample" t.engine ~period:t.config.obs_sample_period (fun () ->
       let lag = float_of_int (truth_rev t - Zk.follower_caught_up_to t.zk) in
       let m = metrics t in
       Dsim.Metrics.set_gauge m "lag.zk-follower" lag;

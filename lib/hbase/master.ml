@@ -89,6 +89,6 @@ let create ~net ~name ~zk ~regions ?(sync_before_cas = false) ?(period = 100_000
 let start t =
   Dsim.Network.register t.net t.name ~serve:(serve t) ();
   Zk.write t.zk ~src:t.name ~key:"master" t.name (fun _ -> ());
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
+  Dsim.Engine.every ~tag:"hbase.master.resync" (engine t) ~period:t.period (fun () ->
       if Dsim.Network.is_up t.net t.name then balance_pass t;
       true)

@@ -13,7 +13,7 @@ let pp pp_value ppf e =
   | Some v -> Format.fprintf ppf "@[@%d %a %s = %a@]" e.rev pp_op e.op e.key pp_value v
   | None -> Format.fprintf ppf "@[@%d %a %s@]" e.rev pp_op e.op e.key
 
-let describe e = Printf.sprintf "@%d %s %s" e.rev (op_to_string e.op) e.key
+let describe e = String.concat "" [ "@"; string_of_int e.rev; " "; op_to_string e.op; " "; e.key ]
 
 let matches_prefix prefix e =
   match prefix with None -> true | Some p -> String.starts_with ~prefix:p e.key

@@ -26,14 +26,7 @@ let deployments_informer t = informer_exn t.deployments_informer
 let rsets_informer t = informer_exn t.rsets_informer
 let pods_informer t = informer_exn t.pods_informer
 
-let view_rev t =
-  match
-    List.filter_map
-      (Option.map Informer.rev)
-      [ t.deployments_informer; t.rsets_informer; t.pods_informer ]
-  with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+let view_rev t = Informer.min_rev [ t.deployments_informer; t.rsets_informer; t.pods_informer ]
 
 let engine t = Dsim.Network.engine t.net
 
@@ -224,6 +217,6 @@ let start t =
   Informer.start deps ~endpoint:0 ();
   Informer.start rsets ~endpoint:0 ();
   Informer.start pods ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
+  Dsim.Engine.every ~tag:"kube.deployment.resync" (engine t) ~period:t.period (fun () ->
       if Dsim.Network.is_up t.net t.name then reconcile t;
       true)

@@ -99,7 +99,7 @@ let start t =
       ~on_crash:(fun () -> step_down t)
       ~on_restart:(fun () ->
         Dsim.Network.register t.net t.name ~serve:(fun ~src:_ _ _ -> ()) ());
-    Dsim.Engine.every (engine t) ~period:t.renew_period (fun () ->
+    Dsim.Engine.every ~tag:"kube.elector.renew" (engine t) ~period:t.renew_period (fun () ->
         tick t;
         t.running)
   end

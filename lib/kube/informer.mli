@@ -52,6 +52,9 @@ val owner : t -> string
 val prefix : t -> string
 (** The key prefix this informer lists and watches. *)
 
+val stream : t -> string
+(** ["owner#prefix"]: the id of the watch stream this informer opens. *)
+
 val store : t -> Resource.value History.State.t
 
 val get : t -> string -> Resource.value option
@@ -59,6 +62,10 @@ val get : t -> string -> Resource.value option
 val rev : t -> int
 (** The view's frontier — decreases after a re-list from a stale
     apiserver (time travel). *)
+
+val min_rev : t option list -> int
+(** The lowest frontier among a component's started informers, 0 when
+    none is started: the component's view revision. *)
 
 val current_endpoint : t -> string
 

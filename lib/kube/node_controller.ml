@@ -24,10 +24,7 @@ let pods_informer t = informer_exn t.pods_informer
 
 let nodes_informer t = informer_exn t.nodes_informer
 
-let view_rev t =
-  match List.filter_map (Option.map Informer.rev) [ t.pods_informer; t.nodes_informer ] with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+let view_rev t = Informer.min_rev [ t.pods_informer; t.nodes_informer ]
 
 let engine t = Dsim.Network.engine t.net
 
@@ -124,6 +121,6 @@ let start t =
       Informer.start nodes ~endpoint ());
   Informer.start pods ~endpoint:0 ();
   Informer.start nodes ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
+  Dsim.Engine.every ~tag:"kube.nodectl.resync" (engine t) ~period:t.period (fun () ->
       if Dsim.Network.is_up t.net t.name then reconcile t;
       true)

@@ -22,10 +22,7 @@ let pods_informer t =
 let pvcs_informer t =
   match t.pvcs_informer with Some i -> i | None -> invalid_arg "Volume_controller: not started"
 
-let view_rev t =
-  match List.filter_map (Option.map Informer.rev) [ t.pods_informer; t.pvcs_informer ] with
-  | [] -> 0
-  | r :: rest -> List.fold_left min r rest
+let view_rev t = Informer.min_rev [ t.pods_informer; t.pvcs_informer ]
 
 let engine t = Dsim.Network.engine t.net
 
@@ -103,6 +100,6 @@ let start t =
       Informer.start pvcs ~endpoint ());
   Informer.start pods ~endpoint:0 ();
   Informer.start pvcs ~endpoint:0 ();
-  Dsim.Engine.every (engine t) ~period:t.period (fun () ->
+  Dsim.Engine.every ~tag:"kube.volumectl.resync" (engine t) ~period:t.period (fun () ->
       if Dsim.Network.is_up t.net t.name then reconcile t;
       true)

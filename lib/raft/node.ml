@@ -334,7 +334,7 @@ let start t =
       reset_election_deadline t);
   reset_election_deadline t;
   (* One driving timer: leaders beat, others watch for election timeout. *)
-  Dsim.Engine.every (engine t) ~period:t.heartbeat_period (fun () ->
+  Dsim.Engine.every ~tag:"raft.heartbeat" (engine t) ~period:t.heartbeat_period (fun () ->
       if Dsim.Network.is_up t.net t.id then begin
         match t.role with
         | Leader -> broadcast_appends t

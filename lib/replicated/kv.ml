@@ -318,7 +318,7 @@ let start t =
      leader is re-submitted to the current one; the per-replica pid
      dedup makes the retry idempotent. Proposals nothing commits within
      the deadline fail over to the caller as an outage. *)
-  Dsim.Engine.every (engine t) ~period:t.retry_period (fun () ->
+  Dsim.Engine.every ~tag:"repl.retry" (engine t) ~period:t.retry_period (fun () ->
       let now = Dsim.Engine.now (engine t) in
       let expired = ref [] and to_retry = ref [] in
       Hashtbl.iter
