@@ -32,12 +32,16 @@ let revoke t ~lease =
   keys
 
 let expire t ~now =
-  let expired =
-    Hashtbl.fold (fun id l acc -> if l.deadline <= now then (id, List.rev l.keys) :: acc else acc)
-      t.table []
-  in
-  List.iter (fun (id, _) -> Hashtbl.remove t.table id) expired;
-  List.sort (fun (a, _) (b, _) -> compare a b) expired
+  if Hashtbl.length t.table = 0 then []
+  else begin
+    let expired =
+      Hashtbl.fold
+        (fun id l acc -> if l.deadline <= now then (id, List.rev l.keys) :: acc else acc)
+        t.table []
+    in
+    List.iter (fun (id, _) -> Hashtbl.remove t.table id) expired;
+    List.sort (fun (a, _) (b, _) -> compare a b) expired
+  end
 
 let ttl_remaining t ~lease ~now =
   match Hashtbl.find_opt t.table lease with

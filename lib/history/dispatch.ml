@@ -27,6 +27,8 @@ type 'a t = {
   mutable next_id : int;
   mutable live : int;
   mutable iterating : int;  (* defer compaction while > 0 *)
+  mutable all : 'a entry array;  (* every entry in (order, id) order, when not [stale] *)
+  mutable stale : bool;  (* set by every add, remove, reorder and clear *)
 }
 
 let new_node () = { child_chars = ""; children = [||]; bucket = None }
@@ -34,7 +36,15 @@ let new_node () = { child_chars = ""; children = [||]; bucket = None }
 let new_bucket () = { entries = [||]; len = 0; dead = 0 }
 
 let create () =
-  { root = new_node (); by_id = Hashtbl.create 64; next_id = 0; live = 0; iterating = 0 }
+  {
+    root = new_node ();
+    by_id = Hashtbl.create 64;
+    next_id = 0;
+    live = 0;
+    iterating = 0;
+    all = [||];
+    stale = false;
+  }
 
 let size t = t.live
 
@@ -108,6 +118,7 @@ let add t ?prefix payload =
   bucket_push bucket entry;
   Hashtbl.replace t.by_id id (entry, bucket);
   t.live <- t.live + 1;
+  t.stale <- true;
   id
 
 let remove t id =
@@ -115,6 +126,7 @@ let remove t id =
   | None -> false
   | Some (entry, bucket) ->
       Hashtbl.remove t.by_id id;
+      t.stale <- true;
       entry.live <- false;
       bucket.dead <- bucket.dead + 1;
       t.live <- t.live - 1;
@@ -127,11 +139,16 @@ let find t id = Option.map (fun (e, _) -> e.payload) (Hashtbl.find_opt t.by_id i
 
 let set_order t id ~order =
   match Hashtbl.find_opt t.by_id id with
-  | Some (entry, _) -> entry.order <- order
+  | Some (entry, _) ->
+      if entry.order <> order then begin
+        entry.order <- order;
+        t.stale <- true
+      end
   | None -> ()
 
 let clear t =
   Hashtbl.reset t.by_id;
+  t.stale <- true;
   t.live <- 0;
   let rec wipe node =
     node.bucket <- None;
@@ -163,19 +180,38 @@ let collect_matching t ~key =
     key;
   List.sort (fun a b -> if a.order = b.order then compare a.id b.id else compare a.order b.order) !acc
 
+(* The sorted table is rebuilt only after the set or its order changed.
+   A rebuild makes a fresh array, so a walk in progress keeps its own
+   snapshot. *)
 let collect_all t =
-  let acc = Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t.by_id [] in
-  List.sort (fun a b -> if a.order = b.order then compare a.id b.id else compare a.order b.order) acc
+  if t.stale then begin
+    let acc = Hashtbl.fold (fun _ (e, _) acc -> e :: acc) t.by_id [] in
+    t.all <-
+      Array.of_list
+        (List.sort
+           (fun a b -> if a.order = b.order then compare a.id b.id else compare a.order b.order)
+           acc);
+    t.stale <- false
+  end;
+  t.all
 
-let iter_entries t entries f =
+let with_iteration t walk =
   t.iterating <- t.iterating + 1;
-  Fun.protect
-    ~finally:(fun () -> t.iterating <- t.iterating - 1)
-    (fun () -> List.iter (fun (e : _ entry) -> if e.live then f e.id e.payload) entries)
+  match walk () with
+  | () -> t.iterating <- t.iterating - 1
+  | exception exn ->
+      t.iterating <- t.iterating - 1;
+      raise exn
 
-let iter_matching t ~key f = iter_entries t (collect_matching t ~key) f
+let iter_matching t ~key f =
+  let entries = collect_matching t ~key in
+  with_iteration t (fun () ->
+      List.iter (fun (e : _ entry) -> if e.live then f e.id e.payload) entries)
 
-let iter_all t f = iter_entries t (collect_all t) f
+let iter_all t f =
+  let entries = collect_all t in
+  with_iteration t (fun () ->
+      Array.iter (fun (e : _ entry) -> if e.live then f e.id e.payload) entries)
 
 let matching t ~key =
   List.filter_map
