@@ -18,12 +18,14 @@ bugs:
 	dune exec bin/sieve_cli.exe -- bugs
 
 # Build + exercise the CLI end to end: corpus listing, one bug
-# reproduction, and a JSONL trace dump validated by the trace reader.
-# The same checks run from `dune runtest` (see test/dune).
+# reproduction, a per-tag engine profile, and a JSONL trace dump
+# validated by the trace reader. The same checks run from `dune runtest`
+# (see test/dune).
 smoke:
 	dune build @all
 	dune exec bin/sieve_cli.exe -- list
 	dune exec bin/sieve_cli.exe -- bugs k8s-56261
+	dune exec bin/sieve_cli.exe -- profile k8s-56261 --json
 	dune exec bin/sieve_cli.exe -- trace k8s-56261 --json > _build/smoke-trace.jsonl
 	dune exec test/validate_jsonl.exe _build/smoke-trace.jsonl
 

@@ -101,20 +101,19 @@ let find_all t ~kind = List.filter (fun e -> String.equal e.kind kind) (entries 
 
 let filter t f = List.filter f (entries t)
 
+(* A recorded cause is always an earlier entry, so following only causes
+   strictly below the current id walks each entry at most once and ends
+   even on forged input (a forward or cyclic reference is where the walk
+   stops). *)
 let chain t ~id =
-  let rec go acc visited id =
+  let rec go acc id =
     match Hashtbl.find_opt t.by_id id with
     | None -> acc
-    | Some e ->
-        if List.mem id visited then acc
-        else begin
-          let acc = e :: acc in
-          match e.cause with
-          | Some c -> go acc (id :: visited) c
-          | None -> acc
-        end
+    | Some e -> (
+        let acc = e :: acc in
+        match e.cause with Some c when c < e.id -> go acc c | Some _ | None -> acc)
   in
-  go [] [] id
+  go [] id
 
 let pp_chain ppf entries =
   List.iteri

@@ -64,8 +64,10 @@ val chain : t -> id:int -> entry list
 (** Walks the cause links backwards from [id] and returns the causal
     chain oldest-first, ending with entry [id] itself. The walk stops
     at an entry with no cause, at a cause that was evicted from the
-    ring buffer, or (defensively) at a cycle. [[]] when [id] is not
-    live. *)
+    ring buffer, or at a cause that is not strictly older than its entry
+    (recorded traces never have one; a forged or corrupted import may, and
+    the walk ends there rather than loop). Linear in the chain's length.
+    [[]] when [id] is not live. *)
 
 val pp_chain : Format.formatter -> entry list -> unit
 (** Prints a {!chain} as an indented "why" walkthrough, one entry per

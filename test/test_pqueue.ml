@@ -94,6 +94,77 @@ let qcheck_length_tracks =
       done;
       Dsim.Pqueue.length q = max 0 (pushes - pops))
 
+(* Model test: the heap against a sorted association list, over random
+   interleavings of pushes (few distinct times, so ties are common and
+   must break by seq), pops, peeks and full drains; a drain empties the
+   heap, so the pushes after it exercise the refill of a queue whose
+   arrays have already grown. *)
+type op = Push of int | Pop | Peek | Drain
+
+let gen_op =
+  QCheck.Gen.(
+    frequency
+      [ (5, map (fun t -> Push t) (int_range 0 7)); (3, return Pop); (1, return Peek);
+        (1, return Drain) ])
+
+let show_op = function
+  | Push t -> Printf.sprintf "push %d" t
+  | Pop -> "pop"
+  | Peek -> "peek"
+  | Drain -> "drain"
+
+let qcheck_matches_sorted_model =
+  QCheck.Test.make ~name:"heap matches a sorted-list model" ~count:300
+    (QCheck.make ~print:QCheck.Print.(list show_op) QCheck.Gen.(list_size (0 -- 120) gen_op))
+    (fun ops ->
+      let q = Dsim.Pqueue.create () in
+      let model = ref [] and seq = ref 0 in
+      let insert (t, s, v) = List.merge compare [ (t, s, v) ] !model in
+      let pop_model () =
+        match !model with
+        | [] -> None
+        | top :: rest ->
+            model := rest;
+            Some top
+      in
+      let agree () =
+        Dsim.Pqueue.length q = List.length !model
+        && Dsim.Pqueue.is_empty q = (!model = [])
+        && Dsim.Pqueue.min_time q = (match !model with (t, _, _) :: _ -> t | [] -> max_int)
+      in
+      List.for_all
+        (fun op ->
+          let ok =
+            match op with
+            | Push time ->
+                incr seq;
+                Dsim.Pqueue.push q ~time ~seq:!seq (string_of_int !seq);
+                model := insert (time, !seq, string_of_int !seq);
+                true
+            | Pop -> Dsim.Pqueue.pop q = pop_model ()
+            | Peek -> Dsim.Pqueue.peek q = (match !model with [] -> None | top :: _ -> Some top)
+            | Drain ->
+                let rec drain () =
+                  if Dsim.Pqueue.is_empty q then true
+                  else
+                    let time = Dsim.Pqueue.min_time q in
+                    let v = Dsim.Pqueue.pop_min q in
+                    (match pop_model () with
+                    | Some (t, _, mv) -> t = time && String.equal v mv
+                    | None -> false)
+                    && drain ()
+                in
+                drain () && !model = []
+          in
+          ok && agree ())
+        ops)
+
+let pop_min_on_empty_raises () =
+  let q = Dsim.Pqueue.create () in
+  Alcotest.(check int) "min_time of empty" max_int (Dsim.Pqueue.min_time q);
+  Alcotest.check_raises "pop_min" (Invalid_argument "Pqueue.pop_min: empty queue") (fun () ->
+      ignore (Dsim.Pqueue.pop_min q))
+
 let suites =
   [
     ( "pqueue",
@@ -107,5 +178,7 @@ let suites =
         Alcotest.test_case "popped value is collectable" `Quick popped_value_is_collectable;
         Qcheck_util.to_alcotest qcheck_sorted_drain;
         Qcheck_util.to_alcotest qcheck_length_tracks;
+        Qcheck_util.to_alcotest qcheck_matches_sorted_model;
+        Alcotest.test_case "pop_min on empty raises" `Quick pop_min_on_empty_raises;
       ] );
   ]

@@ -76,6 +76,33 @@ let chain_survives_cycles () =
   let chain = Dsim.Trace.chain t ~id:2 in
   Alcotest.(check bool) "terminates, non-empty" true (List.length chain >= 2)
 
+let chain_stops_at_forged_forward_cause () =
+  (* An imported trace whose causes point forward and around a cycle
+     (3 -> 2 -> 3, and 1 -> 3): each walk stops at the first cause that
+     is not older than its entry. *)
+  let line id cause =
+    Printf.sprintf {|{"id":%d,"time":0,"actor":"a","kind":"k","detail":"e%d","cause":%d}|} id id
+      cause
+  in
+  match Dsim.Trace.of_jsonl (String.concat "\n" [ line 1 3; line 2 3; line 3 2 ]) with
+  | Error msg -> Alcotest.failf "rejected forged trace: %s" msg
+  | Ok t ->
+      let details id = List.map (fun e -> e.Dsim.Trace.detail) (Dsim.Trace.chain t ~id) in
+      Alcotest.(check (list string)) "from 3" [ "e2"; "e3" ] (details 3);
+      Alcotest.(check (list string)) "from 2" [ "e2" ] (details 2);
+      Alcotest.(check (list string)) "from 1" [ "e1" ] (details 1)
+
+let chain_of_twenty_thousand_links () =
+  let t = Dsim.Trace.create () in
+  let last = ref (emit t "root") in
+  for i = 1 to 19_999 do
+    last := emit t ~cause:!last (string_of_int i)
+  done;
+  let chain = Dsim.Trace.chain t ~id:!last in
+  Alcotest.(check int) "every link" 20_000 (List.length chain);
+  Alcotest.(check string) "oldest first" "root" (List.hd chain).Dsim.Trace.detail;
+  Alcotest.(check int) "ends at the anchor" !last (List.nth chain 19_999).Dsim.Trace.id
+
 let chain_of_unknown_id_empty () =
   let t = Dsim.Trace.create () in
   record t "only";
@@ -127,6 +154,9 @@ let suites =
         Alcotest.test_case "chain stops at evicted cause" `Quick chain_stops_at_evicted_cause;
         Alcotest.test_case "chain survives cycles" `Quick chain_survives_cycles;
         Alcotest.test_case "chain of unknown id empty" `Quick chain_of_unknown_id_empty;
+        Alcotest.test_case "chain stops at forged forward cause" `Quick
+          chain_stops_at_forged_forward_cause;
+        Alcotest.test_case "chain of twenty thousand links" `Quick chain_of_twenty_thousand_links;
         Alcotest.test_case "clear restarts ids" `Quick clear_restarts_ids;
         Alcotest.test_case "jsonl round trip" `Quick jsonl_round_trip;
         Alcotest.test_case "jsonl rejects malformed line" `Quick jsonl_rejects_malformed_line;
