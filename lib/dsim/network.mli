@@ -57,6 +57,18 @@ val is_up : t -> address -> bool
 
 val incarnation : t -> address -> int
 
+type peer
+(** One address's liveness, looked up without hashing the address on
+    every read. *)
+
+val peer : t -> address -> peer
+
+val peer_up : peer -> bool
+(** [is_up] of the peer's address. *)
+
+val peer_incarnation : peer -> int
+(** [incarnation] of the peer's address. *)
+
 val crash : t -> address -> unit
 (** Marks the node down, bumps its incarnation and runs its [on_crash]
     hook. Messages to or from a down node are dropped at delivery time. *)

@@ -42,6 +42,9 @@ val cached_nodes : t -> string list
 val binds : t -> int
 (** Successful bindings performed. *)
 
+val max_bind_failures : t -> int
+(** The largest count in {!bind_failures}, 0 when there is none. *)
+
 val bind_failures : t -> ((string * string) * int) list
 (** Per (pod, node) count of failed bind transactions — the livelock
     oracle's input. *)
