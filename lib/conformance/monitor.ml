@@ -262,8 +262,7 @@ let bindings_under prefix state =
    resurrect old states, but neither invents a binding), so this stays on
    even when strict mode is off. *)
 let check_bindings t ~subject ?prefix ~rev state =
-  List.iter
-    (fun (key, (value, mod_rev)) ->
+  History.State.iter_under ?prefix state (fun key (value, mod_rev) ->
       if mod_rev > rev then
         report t ~code:Future_rev ~subject ~rev
           (Printf.sprintf "binding %s carries mod-revision %d beyond the claimed revision %d" key
@@ -280,12 +279,11 @@ let check_bindings t ~subject ?prefix ~rev state =
         if
           (not (String.equal e.History.Event.key key))
           || e.History.Event.op = History.Event.Delete
-          || e.History.Event.value <> Some value
+          || (match e.History.Event.value with Some v -> v <> value | None -> true)
         then
           report t ~code:State_divergence ~subject ~rev
             (Printf.sprintf "binding %s@%d does not match committed %s" key mod_rev
                (History.Event.describe e)))
-    (bindings_under prefix state)
 
 let check_state t ~subject ?prefix ~rev state =
   if rev > t.n_revs then
@@ -293,21 +291,19 @@ let check_state t ~subject ?prefix ~rev state =
       (Printf.sprintf "cache claims revision %d; store has only committed %d" rev t.n_revs)
   else begin
     check_bindings t ~subject ?prefix ~rev state;
-    if t.strict_mode then begin
+    if t.strict_mode && not (History.State.equal_under ?prefix (state_at t rev) state) then begin
       let expected = bindings_under prefix (state_at t rev) in
       let actual = bindings_under prefix state in
-      if expected <> actual then begin
-        let missing =
-          List.filter (fun (k, _) -> not (List.mem_assoc k actual)) expected |> List.length
-        and extra =
-          List.filter (fun (k, _) -> not (List.mem_assoc k expected)) actual |> List.length
-        in
-        report t ~code:State_divergence ~subject ~rev
-          (Printf.sprintf
-             "cache at claimed revision %d differs from the committed state (%d bindings vs %d \
-              expected; %d missing, %d extra)"
-             rev (List.length actual) (List.length expected) missing extra)
-      end
+      let missing =
+        List.filter (fun (k, _) -> not (List.mem_assoc k actual)) expected |> List.length
+      and extra =
+        List.filter (fun (k, _) -> not (List.mem_assoc k expected)) actual |> List.length
+      in
+      report t ~code:State_divergence ~subject ~rev
+        (Printf.sprintf
+           "cache at claimed revision %d differs from the committed state (%d bindings vs %d \
+            expected; %d missing, %d extra)"
+           rev (List.length actual) (List.length expected) missing extra)
     end
   end
 

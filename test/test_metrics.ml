@@ -116,6 +116,43 @@ let json_snapshot_parses () =
           Alcotest.(check (option (float 0.0))) "series value" (Some 7.0) (Dsim.Json.to_float v)
       | _ -> Alcotest.fail "series missing or ill-shaped"
 
+(* Handles name a metric once: nothing shows until the first update, a
+   handle and the name-based calls share one metric, and a handle taken
+   before a reset writes to the metric the reset started afresh. *)
+let handles_share_named_metrics () =
+  let m = Dsim.Metrics.create () in
+  let c = Dsim.Metrics.Counter.make m "rpc.api-1" in
+  let g = Dsim.Metrics.Gauge.make m "pipe.inflight.kubelet-1" in
+  let h = Dsim.Metrics.Histogram.make m "watch.latency.kubelet-1" in
+  let s = Dsim.Metrics.Series.make m "lag.api-1" in
+  let empty = Dsim.Json.to_string (Dsim.Metrics.to_json (Dsim.Metrics.create ())) in
+  Alcotest.(check string) "unused handles leave no metric" empty
+    (Dsim.Json.to_string (Dsim.Metrics.to_json m));
+  Dsim.Metrics.Counter.incr c;
+  Dsim.Metrics.incr m "rpc.api-1";
+  Dsim.Metrics.Gauge.add g 1.0;
+  Dsim.Metrics.add_gauge m "pipe.inflight.kubelet-1" 2.0;
+  Dsim.Metrics.Gauge.add g (-1.0);
+  Dsim.Metrics.Histogram.observe h 4.0;
+  Dsim.Metrics.observe m "watch.latency.kubelet-1" 8.0;
+  Dsim.Metrics.Series.sample s ~time:100 1.0;
+  Dsim.Metrics.sample m "lag.api-1" ~time:200 3.0;
+  let named = Dsim.Metrics.create () in
+  Dsim.Metrics.add named "rpc.api-1" 2;
+  Dsim.Metrics.set_gauge named "pipe.inflight.kubelet-1" 2.0;
+  List.iter (Dsim.Metrics.observe named "watch.latency.kubelet-1") [ 4.0; 8.0 ];
+  Dsim.Metrics.sample named "lag.api-1" ~time:100 1.0;
+  Dsim.Metrics.sample named "lag.api-1" ~time:200 3.0;
+  Alcotest.(check string) "same snapshot as name-based updates"
+    (Dsim.Json.to_string (Dsim.Metrics.to_json named))
+    (Dsim.Json.to_string (Dsim.Metrics.to_json m));
+  Dsim.Metrics.reset m;
+  Dsim.Metrics.Counter.incr c;
+  Dsim.Metrics.Series.sample s ~time:300 5.0;
+  Alcotest.(check int) "counter restarts after reset" 1 (Dsim.Metrics.count m "rpc.api-1");
+  Alcotest.(check (list (pair int (float 0.0)))) "series restarts after reset" [ (300, 5.0) ]
+    (Dsim.Metrics.series m "lag.api-1")
+
 let qcheck_percentile_is_member =
   QCheck.Test.make ~name:"percentile returns an observed sample" ~count:200
     QCheck.(pair (list_of_size Gen.(1 -- 50) (float_range 0.0 1000.0)) (float_range 0.01 1.0))
@@ -138,6 +175,7 @@ let suites =
           observe_after_percentile_invalidates_cache;
         Alcotest.test_case "histogram growth" `Quick histogram_growth;
         Alcotest.test_case "gauges set and add" `Quick gauges_set_and_add;
+        Alcotest.test_case "handles share named metrics" `Quick handles_share_named_metrics;
         Alcotest.test_case "series chronological" `Quick series_chronological;
         Alcotest.test_case "json snapshot parses" `Quick json_snapshot_parses;
         Qcheck_util.to_alcotest qcheck_percentile_is_member;
