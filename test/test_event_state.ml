@@ -75,6 +75,52 @@ let qcheck_bindings_with_prefix_agrees =
       in
       State.bindings_with_prefix s ~prefix = naive)
 
+let qcheck_prefix_walks_agree =
+  (* The in-place walks and the list-free comparison must answer exactly
+     what the binding lists do, including for views whose keys all carry
+     the prefix (walked as whole maps) and for states that differ only in
+     a value outside or inside the prefix. *)
+  let key_gen single =
+    QCheck.Gen.(
+      map
+        (fun (a, b) -> a ^ b)
+        (pair
+           (if single then return "pods/" else oneofl [ "pods/"; "pods"; "nodes/"; "p"; "" ])
+           (string_size ~gen:(char_range 'a' 'e') (0 -- 3))))
+  in
+  let gen =
+    QCheck.Gen.(
+      bool >>= fun single ->
+      triple (list_size (0 -- 30) (key_gen single)) (list_size (0 -- 3) (key_gen single))
+        (opt (oneofl [ ""; "p"; "pods/"; "pods/a"; "nodes/"; "zz" ])))
+  in
+  let print = QCheck.Print.(triple (list Fun.id) (list Fun.id) (option Fun.id)) in
+  QCheck.Test.make ~name:"prefix walks agree with binding lists" ~count:300
+    (QCheck.make ~print gen)
+    (fun (keys, changes, prefix) ->
+      let apply s keys rev =
+        List.fold_left
+          (fun (s, rev) key -> (State.apply s (ev rev key Event.Create (Some key)), rev + 1))
+          (s, rev) keys
+        |> fst
+      in
+      let a = apply State.empty keys 1 in
+      let b = apply a changes 1000 in
+      let listed s =
+        match prefix with
+        | None -> State.bindings s
+        | Some prefix -> State.bindings_with_prefix s ~prefix
+      in
+      let walked s =
+        let acc = ref [] in
+        State.iter_under ?prefix s (fun key binding -> acc := (key, binding) :: !acc);
+        List.rev !acc
+      in
+      walked a = listed a
+      && walked b = listed b
+      && State.equal_under ?prefix a b = (listed a = listed b)
+      && State.equal_under ?prefix a a)
+
 let bindings_sorted () =
   let s = apply_events [ ev 1 "b" Event.Create (Some "2"); ev 2 "a" Event.Create (Some "1") ] in
   Alcotest.(check (list string)) "sorted keys" [ "a"; "b" ] (State.keys s)
@@ -146,5 +192,6 @@ let suites =
         Alcotest.test_case "op rendering" `Quick pp_op_strings;
         Qcheck_util.to_alcotest qcheck_apply_monotone_rev;
         Qcheck_util.to_alcotest qcheck_bindings_with_prefix_agrees;
+        Qcheck_util.to_alcotest qcheck_prefix_walks_agree;
       ] );
   ]
